@@ -6,6 +6,7 @@ committee lists.
 """
 
 from repro.citation.combiners import dot_merge, dot_union, plus_merge
+from repro.util.jsonutil import keyed
 
 FV1 = {"ID": "11", "Name": "Calcitonin", "Committee": ["Hay", "Poyner"]}
 FV2 = {"ID": "11", "Name": "Calcitonin",
@@ -14,13 +15,13 @@ FV2 = {"ID": "11", "Name": "Calcitonin",
 
 
 def test_e6_dot_union(benchmark):
-    result = benchmark(dot_union, [FV1, FV2])
-    assert result == [FV1, FV2]
+    result = benchmark(dot_union, [keyed(FV1), keyed(FV2)])
+    assert [record for __, record in result] == [FV1, FV2]
 
 
 def test_e6_dot_merge(benchmark):
-    result = benchmark(dot_merge, [FV1, FV2])
-    assert result == [{
+    result = benchmark(dot_merge, [keyed(FV1), keyed(FV2)])
+    assert [record for __, record in result] == [{
         "ID": "11",
         "Name": "Calcitonin",
         "Committee": ["Hay", "Poyner"],
@@ -34,8 +35,8 @@ def test_e6_plus_r_merge(benchmark):
             "Committee": ["Hay", "Poyner"]}
     right = {"ID": "11", "Committee": ["Brown"],
              "Contributors": ["Smith"]}
-    result = benchmark(plus_merge, [[left], [right]])
-    assert result == [{
+    result = benchmark(plus_merge, [[keyed(left)], [keyed(right)]])
+    assert [record for __, record in result] == [{
         "ID": "11",
         "Name": "Calcitonin",
         "Committee": ["Hay", "Poyner", "Brown"],

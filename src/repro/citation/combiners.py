@@ -12,38 +12,47 @@ concrete interpretations:
 - ``Agg`` — :func:`agg_union` / :func:`agg_merge`, with
   :func:`with_neutral` injecting the always-present records (Def 3.4's
   neutral element: the database name, its NAR publication, ...).
+
+Every combiner takes and returns :data:`~repro.util.jsonutil.KeyedRecord`
+pairs (``(canonical JSON, record)``, see :func:`~repro.util.jsonutil
+.keyed`).  The unions deduplicate on the stored key — the same content
+equality as :func:`~repro.util.jsonutil.union_records` — and a merge keys
+its result once, so no record is serialized more than once however many
+combines it passes through.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from itertools import chain
 
-from repro.util.jsonutil import merge_records, union_records
-
-Record = dict[str, Any]
+from repro.util.jsonutil import KeyedRecord, keyed, merge_records, union_keyed
 
 
-def dot_union(records: list[Record]) -> list[Record]:
-    """``·`` as union of records: keep each part of the joint citation."""
-    return union_records(records)
-
-
-def dot_merge(records: list[Record]) -> list[Record]:
-    """``·`` as join/merge: factor out common fields into one record."""
+def _merged(records: list[KeyedRecord]) -> list[KeyedRecord]:
     if not records:
         return []
-    return [merge_records(records)]
+    if len(records) == 1:
+        # Merging one record reproduces it field for field.
+        return records
+    return [keyed(merge_records([record for __, record in records]))]
 
 
-def plus_union(alternatives: list[list[Record]]) -> list[Record]:
+def dot_union(records: list[KeyedRecord]) -> list[KeyedRecord]:
+    """``·`` as union of records: keep each part of the joint citation."""
+    return union_keyed(records)
+
+
+def dot_merge(records: list[KeyedRecord]) -> list[KeyedRecord]:
+    """``·`` as join/merge: factor out common fields into one record."""
+    return _merged(records)
+
+
+def plus_union(alternatives: list[list[KeyedRecord]]) -> list[KeyedRecord]:
     """``+`` / ``+R`` as union: keep every alternative citation."""
-    flattened: list[Record] = []
-    for records in alternatives:
-        flattened.extend(records)
-    return union_records(flattened)
+    return union_keyed(chain.from_iterable(alternatives))
 
 
-def plus_merge(alternatives: list[list[Record]]) -> list[Record]:
+def plus_merge(alternatives: list[list[KeyedRecord]]) -> list[KeyedRecord]:
     """``+`` / ``+R`` as merge: fold all alternatives into one record.
 
     Reproduces the paper's example::
@@ -52,33 +61,28 @@ def plus_merge(alternatives: list[list[Record]]) -> list[Record]:
         +R {ID, Committee: [Brown], Contributors: [Smith]}
         = {ID, Name, Committee: [Hay, Poyner, Brown], Contributors: [Smith]}
     """
-    flattened: list[Record] = []
-    for records in alternatives:
-        flattened.extend(records)
-    if not flattened:
-        return []
-    return [merge_records(flattened)]
+    return _merged(list(chain.from_iterable(alternatives)))
 
 
-def agg_union(per_tuple: list[list[Record]]) -> list[Record]:
+def agg_union(per_tuple: list[list[KeyedRecord]]) -> list[KeyedRecord]:
     """``Agg`` as union of all per-tuple citations."""
     return plus_union(per_tuple)
 
 
-def agg_merge(per_tuple: list[list[Record]]) -> list[Record]:
+def agg_merge(per_tuple: list[list[KeyedRecord]]) -> list[KeyedRecord]:
     """``Agg`` as a single merged result-set citation."""
     return plus_merge(per_tuple)
 
 
 def with_neutral(
-    records: list[Record], neutral: list[Record]
-) -> list[Record]:
+    records: list[KeyedRecord], neutral: list[KeyedRecord]
+) -> list[KeyedRecord]:
     """Prepend the neutral-element records (deduplicated).
 
     Even an empty result set carries these (Def 3.4): typically the
     database's own citation.
     """
-    return union_records(list(neutral) + records)
+    return union_keyed(chain(neutral, records))
 
 
 DOT_INTERPRETATIONS = {"union": dot_union, "merge": dot_merge}

@@ -19,7 +19,7 @@ The :class:`CitationEngine` pipeline:
 from __future__ import annotations
 
 import threading
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -49,9 +49,14 @@ from repro.relational.database import Database
 from repro.rewriting.engine import RewritingEngine
 from repro.rewriting.rewriting import Rewriting
 from repro.semiring.polynomial import ProvenanceMonomial, ProvenancePolynomial
+from repro.util.jsonutil import KeyedRecord, keyed
 from repro.views.registry import ViewRegistry
 
 Record = dict[str, Any]
+
+#: The zero polynomial a rewriting contributes to a tuple it does not
+#: produce (polynomials are immutable, so one instance serves all).
+_ZERO = ProvenancePolynomial.zero()
 
 
 @dataclass
@@ -224,6 +229,7 @@ class CitationEngine:
         if database_citation is None:
             database_citation = _default_database_citation(db)
         self.database_citation = database_citation
+        self._neutral = [keyed(record) for record in database_citation]
         #: Shared plan cache: every rewriting of every query evaluated by
         #: this engine reuses plans across α-equivalent structures.
         #: ``verify_plans="always"`` makes it a sanitizing planner: every
@@ -236,8 +242,15 @@ class CitationEngine:
         self.share_subplans = share_subplans
         self.parallelism = parallelism
         self.use_processes = use_processes
+        # Data-derived state, valid for ``db.stats_version ==
+        # _data_version`` only: the materialized views and each token's
+        # rendered record (with its canonical key).
+        # :meth:`_check_data_version` drops both once the version moves,
+        # the way the plan cache and the sub-plan memo refuse entries
+        # tagged with an older version.
+        self._data_version = db.stats_version
         self._virtual: IndexedVirtualRelations | None = None
-        self._record_cache: dict[CitationToken, Record] = {}
+        self._record_cache: dict[CitationToken, KeyedRecord] = {}
         self._record_cache_max = 4096
         # Serializes the async entry points (acite_batch/acite_union):
         # the engine and its caches are not thread-safe, so concurrent
@@ -254,27 +267,26 @@ class CitationEngine:
     # ------------------------------------------------------------------
 
     def refresh(self) -> None:
-        """Drop materialized views and cached records after DB updates."""
+        """Drop every cache: materialized views, records, plans, sub-plans.
+
+        Database mutations do not need this — every data-derived cache
+        is keyed on :attr:`~repro.relational.database.Database
+        .stats_version` and refuses stale state on its own — but it
+        returns the engine to a cold start.
+        """
         self._virtual = None
         self._record_cache.clear()
         self.planner.clear()
         self.subplan_memo.clear()
 
-    def invalidate_data(self) -> None:
-        """Graceful invalidation after database mutations.
-
-        Unlike :meth:`refresh` — which drops *everything* — this keeps
-        the version-aware caches warm: the plan cache and the sub-plan
-        memo key their entries on
-        :attr:`~repro.relational.database.Database.stats_version` (and
-        virtual-content fingerprints), so the mutation's version bump
-        already makes them refuse stale entries lazily.  Only state
-        derived from the data with no version tag is dropped — the
-        materialized-view relations and the rendered-record cache.  The
-        citation service calls this after every ``/insert``/``/delete``.
-        """
-        self._virtual = None
-        self._record_cache.clear()
+    def _check_data_version(self) -> None:
+        """Drop the materialized views and rendered records if the data
+        changed since they were built."""
+        version = self.db.stats_version
+        if version != self._data_version:
+            self._data_version = version
+            self._virtual = None
+            self._record_cache.clear()
 
     def materialized_views(self) -> IndexedVirtualRelations:
         """The (lazily built) indexed materialization of the registry.
@@ -351,6 +363,7 @@ class CitationEngine:
         return self.rewriting_engine
 
     def _materialized(self) -> IndexedVirtualRelations:
+        self._check_data_version()
         if self._virtual is None:
             self._virtual = IndexedVirtualRelations(
                 self.registry.materialize(self.db, planner=self.planner)
@@ -361,26 +374,41 @@ class CitationEngine:
     # the symbolic pipeline
     # ------------------------------------------------------------------
 
-    def _binding_monomial(
-        self, rewriting: Rewriting, binding: dict
-    ) -> CitationMonomial:
-        """Def 3.1: the ``·`` of citation tokens for one binding."""
-        tokens: list[CitationToken] = []
-        for application in rewriting.applications:
-            values = []
-            for term in application.parameter_terms:
-                if isinstance(term, Constant):
-                    values.append(term.value)
-                elif isinstance(term, Variable):
-                    values.append(binding[term])
-                else:  # pragma: no cover - parameter terms are const/var
-                    values.append(term)
-            tokens.append(
-                ViewCitationToken(application.view.name, tuple(values))
-            )
-        for atom in rewriting.uncovered_atoms:
-            tokens.append(BaseRelationToken(atom.relation))
-        return ProvenanceMonomial(tokens)
+    def _binding_monomials(
+        self, rewriting: Rewriting
+    ) -> Callable[[dict], CitationMonomial]:
+        """Def 3.1: the ``·`` of citation tokens, as a function of one
+        binding of ``rewriting``.
+
+        Which view parameters are constants and which are bound
+        variables, and the ``C_R`` tokens of uncovered atoms, are worked
+        out once per rewriting rather than once per binding.
+        """
+        views = [
+            (application.view.name, [
+                (False, term) if isinstance(term, Variable)
+                else (True, term.value if isinstance(term, Constant)
+                      else term)
+                for term in application.parameter_terms
+            ])
+            for application in rewriting.applications
+        ]
+        base: list[CitationToken] = [
+            BaseRelationToken(atom.relation)
+            for atom in rewriting.uncovered_atoms
+        ]
+
+        def monomial(binding: dict) -> CitationMonomial:
+            tokens: list[CitationToken] = [
+                ViewCitationToken(name, tuple([
+                    value if constant else binding[value]
+                    for constant, value in parameters
+                ]))
+                for name, parameters in views
+            ]
+            return ProvenanceMonomial(tokens + base)
+
+        return monomial
 
     def _active_memo(self) -> SubplanMemo | None:
         """The sub-plan memo, when consulting it can pay off.
@@ -394,9 +422,17 @@ class CitationEngine:
         return None
 
     def _rewriting_polynomials(
-        self, rewriting: Rewriting, plan: QueryPlan | None = None
+        self,
+        rewriting: Rewriting,
+        plan: QueryPlan | None,
+        interned: dict[CitationMonomial, CitationMonomial],
     ) -> dict[tuple[Any, ...], CitationPolynomial]:
-        """Def 3.2: per-tuple polynomials for one rewriting."""
+        """Def 3.2: per-tuple polynomials for one rewriting.
+
+        Equal monomials are replaced by the first one ``interned`` holds,
+        so a monomial shared by many tuples (and rewritings) of one
+        citation is ordered and printed once.
+        """
         grouped = evaluate_with_bindings(
             rewriting.query,
             self.db,
@@ -407,14 +443,27 @@ class CitationEngine:
             plan=plan,
             memo=self._active_memo(),
         )
+        binding_monomial = self._binding_monomials(rewriting)
         result: dict[tuple[Any, ...], CitationPolynomial] = {}
         for output, bindings in grouped.items():
             terms: dict[CitationMonomial, int] = {}
             for binding in bindings:
-                monomial = self._binding_monomial(rewriting, binding)
+                monomial = binding_monomial(binding)
+                monomial = interned.setdefault(monomial, monomial)
                 terms[monomial] = terms.get(monomial, 0) + 1
             result[output] = ProvenancePolynomial(terms)
         return result
+
+    def _sum(
+        self, polynomials: list[CitationPolynomial]
+    ) -> CitationPolynomial:
+        """``+`` under the policy: idempotent (set union) or counted."""
+        if self.policy.idempotent_plus:
+            return idempotent_sum(polynomials)
+        total = _ZERO
+        for polynomial in polynomials:
+            total = total.add(polynomial)
+        return total
 
     def _combine_rewritings(
         self, polynomials: list[CitationPolynomial]
@@ -423,15 +472,10 @@ class CitationEngine:
         policy = self.policy
         nonzero = [p for p in polynomials if not p.is_zero]
         if not nonzero:
-            return ProvenancePolynomial.zero()
+            return _ZERO
         if policy.plus_r == "best" and policy.order is not None:
             nonzero = best_polynomials(nonzero, policy.order)
-        if policy.idempotent_plus:
-            combined = idempotent_sum(nonzero)
-        else:
-            combined = ProvenancePolynomial.zero()
-            for polynomial in nonzero:
-                combined = combined.add(polynomial)
+        combined = self._sum(nonzero)
         if policy.order is not None:
             combined = normal_form(combined, policy.order)
         return combined
@@ -440,7 +484,7 @@ class CitationEngine:
     # rendering
     # ------------------------------------------------------------------
 
-    def _token_record(self, token: CitationToken) -> Record:
+    def _token_record(self, token: CitationToken) -> KeyedRecord:
         cached = self._record_cache.get(token)
         if cached is not None:
             return cached
@@ -453,31 +497,77 @@ class CitationEngine:
             record = {"Relation": token.relation}
         else:  # pragma: no cover - no other token kinds exist
             record = {"Token": repr(token)}
-        self._record_cache[token] = record
+        entry = self._record_cache[token] = keyed(record)
         if len(self._record_cache) > self._record_cache_max:
             # FIFO bound: distinct tokens grow with the view registry
             # and parameter space, so a long-lived service engine must
             # not accumulate rendered records without limit.
             self._record_cache.pop(next(iter(self._record_cache)))
-        return record
-
-    def _monomial_records(self, monomial: CitationMonomial) -> list[Record]:
-        records = [self._token_record(token) for token in monomial.tokens()]
-        return self.policy.dot_combiner(records)
+        return entry
 
     def _polynomial_records(
-        self, polynomial: CitationPolynomial
-    ) -> list[Record]:
-        alternatives: list[list[Record]] = []
+        self,
+        polynomial: CitationPolynomial,
+        memo: dict[CitationMonomial, list[KeyedRecord]],
+    ) -> list[KeyedRecord]:
+        """Render a polynomial; ``memo`` holds each monomial's ``·``
+        records, so tuples sharing a monomial render it once."""
+        dot = self.policy.dot_combiner
+        counted = self.policy.plus == "counted"
+        alternatives: list[list[KeyedRecord]] = []
         for monomial, coefficient in polynomial.terms.items():
-            records = self._monomial_records(monomial)
-            if self.policy.plus == "counted" and coefficient > 1:
+            records = memo.get(monomial)
+            if records is None:
+                records = memo[monomial] = dot([
+                    self._token_record(token) for token in monomial.tokens()
+                ])
+            if counted and coefficient > 1:
                 records = [
-                    {**record, "DerivationCount": coefficient}
-                    for record in records
+                    keyed({**record, "DerivationCount": coefficient})
+                    for __, record in records
                 ]
             alternatives.append(records)
         return self.policy.plus_combiner(alternatives)
+
+    def _tuple_citation(
+        self,
+        output: tuple[Any, ...],
+        per_rewriting: tuple[CitationPolynomial, ...],
+        combined: CitationPolynomial,
+        rendered: list[list[KeyedRecord]],
+        memo: dict[CitationMonomial, list[KeyedRecord]],
+    ) -> TupleCitation:
+        """Render one tuple's citation; its keyed records are appended to
+        ``rendered`` for :meth:`_result`'s ``Agg``."""
+        records = self._polynomial_records(combined, memo)
+        rendered.append(records)
+        return TupleCitation(
+            output, per_rewriting, combined, [r for __, r in records]
+        )
+
+    def _result(
+        self,
+        query: ConjunctiveQuery,
+        rewritings: tuple[Rewriting, ...],
+        tuples: dict[tuple[Any, ...], TupleCitation],
+        rendered: list[list[KeyedRecord]],
+    ) -> CitationResult:
+        """Agg (Def 3.4): the symbolic aggregate plus rendered records."""
+        aggregate = self._sum([tc.polynomial for tc in tuples.values()])
+        if self.policy.order is not None:
+            aggregate = absorbing_sum([aggregate], self.policy.order)
+        records = self.policy.agg_combiner(rendered)
+        if self.policy.include_database_citation:
+            records = with_neutral(records, self._neutral)
+        return CitationResult(
+            query=query,
+            policy=self.policy,
+            rewritings=rewritings,
+            tuples=tuples,
+            aggregate_polynomial=aggregate,
+            records=[record for __, record in records],
+            database_citation=list(self.database_citation),
+        )
 
     # ------------------------------------------------------------------
     # public API
@@ -523,9 +613,12 @@ class CitationEngine:
         batch path plans while grouping shared prefixes and passes the
         plans through so nothing is planned (or counted) twice.
         """
+        self._check_data_version()
+        interned: dict[CitationMonomial, CitationMonomial] = {}
         per_rewriting = [
             self._rewriting_polynomials(
-                rewriting, plans[index] if plans is not None else None
+                rewriting, plans[index] if plans is not None else None,
+                interned,
             )
             for index, rewriting in enumerate(rewritings)
         ]
@@ -535,41 +628,18 @@ class CitationEngine:
                 outputs.setdefault(output)
 
         tuples: dict[tuple[Any, ...], TupleCitation] = {}
+        rendered: list[list[KeyedRecord]] = []
+        memo: dict[CitationMonomial, list[KeyedRecord]] = {}
         for output in outputs:
             aligned = tuple(
-                polynomials.get(output, ProvenancePolynomial.zero())
+                polynomials.get(output, _ZERO)
                 for polynomials in per_rewriting
             )
             combined = self._combine_rewritings(list(aligned))
-            records = self._polynomial_records(combined)
-            tuples[output] = TupleCitation(output, aligned, combined, records)
-
-        # Agg (Def 3.4): symbolic aggregate plus rendered records.
-        per_tuple_polynomials = [tc.polynomial for tc in tuples.values()]
-        if self.policy.idempotent_plus:
-            aggregate = idempotent_sum(per_tuple_polynomials)
-        else:
-            aggregate = ProvenancePolynomial.zero()
-            for polynomial in per_tuple_polynomials:
-                aggregate = aggregate.add(polynomial)
-        if self.policy.order is not None:
-            aggregate = absorbing_sum([aggregate], self.policy.order)
-        aggregated_records = self.policy.agg_combiner(
-            [tc.records for tc in tuples.values()]
-        )
-        if self.policy.include_database_citation:
-            aggregated_records = with_neutral(
-                aggregated_records, self.database_citation
+            tuples[output] = self._tuple_citation(
+                output, aligned, combined, rendered, memo
             )
-        return CitationResult(
-            query=query,
-            policy=self.policy,
-            rewritings=rewritings,
-            tuples=tuples,
-            aggregate_polynomial=aggregate,
-            records=aggregated_records,
-            database_citation=list(self.database_citation),
-        )
+        return self._result(query, rewritings, tuples, rendered)
 
     def cite_batch(
         self,
@@ -712,18 +782,14 @@ class CitationEngine:
                 outputs.setdefault(output)
 
         tuples: dict[tuple[Any, ...], TupleCitation] = {}
+        rendered: list[list[KeyedRecord]] = []
+        memo: dict[CitationMonomial, list[KeyedRecord]] = {}
         for output in outputs:
-            contributions = [
+            combined = self._sum([
                 result.tuples[output].polynomial
                 for result in partial_results
                 if output in result.tuples
-            ]
-            if self.policy.idempotent_plus:
-                combined = idempotent_sum(contributions)
-            else:
-                combined = ProvenancePolynomial.zero()
-                for polynomial in contributions:
-                    combined = combined.add(polynomial)
+            ])
             if self.policy.order is not None:
                 combined = normal_form(combined, self.policy.order)
             # Keep per_rewriting aligned with the concatenated rewriting
@@ -735,45 +801,20 @@ class CitationEngine:
                 for polynomial in (
                     result.tuples[output].per_rewriting
                     if output in result.tuples
-                    else (ProvenancePolynomial.zero(),)
-                    * len(result.rewritings)
+                    else (_ZERO,) * len(result.rewritings)
                 )
             )
-            records = self._polynomial_records(combined)
-            tuples[output] = TupleCitation(
-                output, per_rewriting, combined, records
+            tuples[output] = self._tuple_citation(
+                output, per_rewriting, combined, rendered, memo
             )
 
-        per_tuple_polynomials = [tc.polynomial for tc in tuples.values()]
-        if self.policy.idempotent_plus:
-            aggregate = idempotent_sum(per_tuple_polynomials)
-        else:
-            aggregate = ProvenancePolynomial.zero()
-            for polynomial in per_tuple_polynomials:
-                aggregate = aggregate.add(polynomial)
-        if self.policy.order is not None:
-            aggregate = absorbing_sum([aggregate], self.policy.order)
-        aggregated_records = self.policy.agg_combiner(
-            [tc.records for tc in tuples.values()]
-        )
-        if self.policy.include_database_citation:
-            aggregated_records = with_neutral(
-                aggregated_records, self.database_citation
-            )
         all_rewritings = tuple(
             rewriting
             for result in partial_results
             for rewriting in result.rewritings
         )
-        return CitationResult(
-            query=union.disjuncts[0],
-            policy=self.policy,
-            rewritings=all_rewritings,
-            tuples=tuples,
-            aggregate_polynomial=aggregate,
-            records=aggregated_records,
-            database_citation=list(self.database_citation),
-        )
+        return self._result(union.disjuncts[0], all_rewritings, tuples,
+                            rendered)
 
     def cite_view(
         self, view_name: str, params: tuple[Any, ...] = ()

@@ -55,7 +55,8 @@ class CitationPolicy:
     plus:
         ``+`` across bindings: ``"union"`` (idempotent, set-like — the
         default throughout the paper's examples) or ``"counted"`` (keep
-        binding multiplicities as ``"count"`` fields).
+        binding multiplicities: each record of a monomial derived more
+        than once carries a ``"DerivationCount"`` field).
     plus_r:
         ``+R`` across rewritings: ``"union"`` (Def 3.3's formal sum) or
         ``"best"`` (order-based absorption, Section 3.4; requires

@@ -97,6 +97,5 @@ def idempotent_sum(
     """Union of monomial supports: ``+`` as set union (Example 3.4)."""
     terms: dict[CitationMonomial, int] = {}
     for polynomial in polynomials:
-        for monomial in polynomial.monomials():
-            terms[monomial] = 1
+        terms.update(dict.fromkeys(polynomial.support(), 1))
     return ProvenancePolynomial(terms)

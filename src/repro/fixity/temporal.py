@@ -216,9 +216,10 @@ class TemporalCitationEngine:
         """Copy a base-schema snapshot into the temporal DB under ``tag``.
 
         Returns the number of rows loaded.  Loading bumps the temporal
-        database's ``stats_version``, so every cached plan (this
-        engine's and the citation engine's) is invalidated — the same
-        signal PR 5 uses for ordinary mutations.
+        database's ``stats_version``, so every version-keyed cache —
+        this engine's plans, and the citation engine's plans, sub-plan
+        memo, materialized views and rendered records — refuses its
+        stale entries, as after any ordinary mutation.
         """
         if tag in self._tags:
             raise VersionError(f"snapshot tag already registered: {tag!r}")
@@ -228,10 +229,6 @@ class TemporalCitationEngine:
                 self.db.insert(instance.schema.name, *row.values, tag)
                 loaded += 1
         self._tags[tag] = None
-        if self._engine is not None:
-            # Materialized lifted views are cached per engine; new data
-            # must drop them (plans invalidate via stats_version anyway).
-            self._engine.refresh()
         return loaded
 
     def _check_tag(self, tag: str) -> None:

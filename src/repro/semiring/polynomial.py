@@ -9,14 +9,22 @@ monomial/polynomial representation with citation tokens.
 Representation
 --------------
 - :class:`ProvenanceMonomial`: a multiset of tokens (token -> exponent),
-  canonicalized and hashable.
+  hashable.
 - :class:`ProvenancePolynomial`: a map monomial -> positive integer
   coefficient; the zero polynomial has no monomials.
+
+Both hash and compare as unordered maps.  The canonical order (by
+``repr``) is computed the first time an ordered view is asked for
+(``tokens()``, ``powers``, ``terms``, ``monomials()``, ``specialize``,
+``repr``) and cached on the object, as is a monomial's ``repr``:
+intermediate polynomials that are only combined, never displayed, never
+pay for the sort.  :meth:`ProvenancePolynomial.support` is the
+unordered view for order-insensitive consumers.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, KeysView, Mapping
 from typing import Any
 
 from repro.semiring.base import Semiring
@@ -25,7 +33,7 @@ from repro.semiring.base import Semiring
 class ProvenanceMonomial:
     """A commutative product of tokens with multiplicities, e.g. ``x²y``."""
 
-    __slots__ = ("_powers", "_hash")
+    __slots__ = ("_powers", "_hash", "_sorted", "_repr")
 
     def __init__(self, powers: Mapping[Any, int] | Iterable[Any] = ()) -> None:
         if isinstance(powers, Mapping):
@@ -38,21 +46,34 @@ class ProvenanceMonomial:
             items = {}
             for token in powers:
                 items[token] = items.get(token, 0) + 1
-        # Canonical order by repr for deterministic display and hashing.
-        self._powers: dict[Any, int] = dict(
-            sorted(items.items(), key=lambda kv: repr(kv[0]))
-        )
-        self._hash = hash(frozenset(self._powers.items()))
+        self._powers: dict[Any, int] = items
+        self._hash = hash(frozenset(items.items()))
+        self._sorted = False
+        self._repr: str | None = None
+
+    def _canonical(self) -> dict[Any, int]:
+        """The powers in canonical order (by token ``repr``).
+
+        Sorted on first use; the sorted dict (equal content) replaces
+        the unsorted one, so later calls return it as is.
+        """
+        if not self._sorted:
+            if len(self._powers) > 1:
+                self._powers = dict(
+                    sorted(self._powers.items(), key=lambda kv: repr(kv[0]))
+                )
+            self._sorted = True
+        return self._powers
 
     # -- inspection -----------------------------------------------------------
 
     @property
     def powers(self) -> Mapping[Any, int]:
-        return dict(self._powers)
+        return dict(self._canonical())
 
     def tokens(self) -> list[Any]:
         """Distinct tokens, in canonical order."""
-        return list(self._powers)
+        return list(self._canonical())
 
     @property
     def degree(self) -> int:
@@ -97,32 +118,46 @@ class ProvenanceMonomial:
         return self._hash
 
     def __repr__(self) -> str:
+        if self._repr is not None:
+            return self._repr
         if not self._powers:
             return "1"
         parts = []
-        for token, exponent in self._powers.items():
+        for token, exponent in self._canonical().items():
             text = str(token)
             parts.append(text if exponent == 1 else f"{text}^{exponent}")
-        return "·".join(parts)
+        self._repr = "·".join(parts)
+        return self._repr
 
 
 class ProvenancePolynomial:
     """An element of ℕ[X]: a sum of monomials with ℕ coefficients."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_hash", "_sorted")
 
     def __init__(
         self, terms: Mapping[ProvenanceMonomial, int] | None = None
     ) -> None:
-        cleaned = {
+        self._terms: dict[ProvenanceMonomial, int] = {
             monomial: coefficient
             for monomial, coefficient in (terms or {}).items()
             if coefficient > 0
         }
-        self._terms: dict[ProvenanceMonomial, int] = dict(
-            sorted(cleaned.items(), key=lambda kv: repr(kv[0]))
-        )
         self._hash = hash(frozenset(self._terms.items()))
+        self._sorted = False
+
+    def _canonical(self) -> dict[ProvenanceMonomial, int]:
+        """The terms in canonical order (by monomial ``repr``).
+
+        Sorted on first use, like :meth:`ProvenanceMonomial._canonical`.
+        """
+        if not self._sorted:
+            if len(self._terms) > 1:
+                self._terms = dict(
+                    sorted(self._terms.items(), key=lambda kv: repr(kv[0]))
+                )
+            self._sorted = True
+        return self._terms
 
     # -- constructors -----------------------------------------------------------
 
@@ -143,10 +178,18 @@ class ProvenancePolynomial:
 
     @property
     def terms(self) -> Mapping[ProvenanceMonomial, int]:
-        return dict(self._terms)
+        return dict(self._canonical())
 
     def monomials(self) -> list[ProvenanceMonomial]:
-        return list(self._terms)
+        return list(self._canonical())
+
+    def support(self) -> KeysView[ProvenanceMonomial]:
+        """The monomials without coefficients, in no particular order.
+
+        For order-insensitive consumers (set-like sums), which need not
+        pay for the canonical order :meth:`monomials` sorts into.
+        """
+        return self._terms.keys()
 
     @property
     def is_zero(self) -> bool:
@@ -184,7 +227,7 @@ class ProvenancePolynomial:
         evaluation.
         """
         total = semiring.zero
-        for monomial, coefficient in self._terms.items():
+        for monomial, coefficient in self._canonical().items():
             product = semiring.one
             for token, exponent in monomial.powers.items():
                 value = valuation(token)
@@ -210,7 +253,7 @@ class ProvenancePolynomial:
         if not self._terms:
             return "0"
         parts = []
-        for monomial, coefficient in self._terms.items():
+        for monomial, coefficient in self._canonical().items():
             if coefficient == 1:
                 parts.append(str(monomial))
             else:

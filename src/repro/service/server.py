@@ -575,13 +575,12 @@ class CitationService:
         engine = self.engine
 
         def job() -> int:
+            # The stats_version bump makes every version-keyed engine
+            # cache (plans, sub-plan memo, materialized views, rendered
+            # records) refuse its stale entries on next use.
             inserted = engine.db.insert_all(
                 relation, [tuple(row) for row in rows]
             )
-            # Graceful invalidation: the stats_version bump makes the
-            # version-aware caches (plans, sub-plan memo) lazily refuse
-            # stale entries; only data-derived materializations drop.
-            engine.invalidate_data()
             return len(inserted)
 
         count = await self._bounded(self.lane.submit(job))
@@ -598,13 +597,10 @@ class CitationService:
         engine = self.engine
 
         def job() -> int:
-            deleted = sum(
+            return sum(
                 1 for row in rows
                 if engine.db.delete(relation, *row)
             )
-            if deleted:
-                engine.invalidate_data()
-            return deleted
 
         count = await self._bounded(self.lane.submit(job))
         return 200, {

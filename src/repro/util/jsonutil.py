@@ -4,12 +4,22 @@ The paper's Example 3.5 interprets the citation operators over JSON-like
 records: ``·`` may be *union of records* (keep both records side by side) or
 *join/merge* (factor out common fields and union the rest).  These helpers
 implement that record algebra over plain Python dicts/lists.
+
+The citation engine renders each record once and then combines it many
+times, so it carries records as :data:`KeyedRecord` pairs: the record
+with its canonical JSON, computed once by :func:`keyed` when the record
+is made.  :func:`union_keyed` deduplicates on that stored key, which is
+exactly :func:`union_records`' content equality without re-serializing.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from typing import Any
+
+#: A record paired with its :func:`canonical_json` dedup key.
+KeyedRecord = tuple[str, dict[str, Any]]
 
 
 def canonical_json(value: Any) -> str:
@@ -18,6 +28,26 @@ def canonical_json(value: Any) -> str:
     Used to hash/compare citation records deterministically.
     """
     return json.dumps(value, sort_keys=True, separators=(",", ":"), default=str)
+
+
+def keyed(record: dict[str, Any]) -> KeyedRecord:
+    """Pair ``record`` with its canonical key (serializes it once)."""
+    return canonical_json(record), record
+
+
+def union_keyed(records: Iterable[KeyedRecord]) -> list[KeyedRecord]:
+    """:func:`union_records` over keyed records: dedupe on the stored key.
+
+    Two records collapse exactly when their canonical JSON is equal, as
+    in :func:`union_records`; order of first occurrence is preserved.
+    """
+    seen: set[str] = set()
+    result: list[KeyedRecord] = []
+    for item in records:
+        if item[0] not in seen:
+            seen.add(item[0])
+            result.append(item)
+    return result
 
 
 def union_records(records: list[dict[str, Any]]) -> list[dict[str, Any]]:

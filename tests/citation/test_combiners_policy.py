@@ -1,4 +1,10 @@
-"""Tests for record combiners (Example 3.5) and citation policies."""
+"""Tests for record combiners (Example 3.5) and citation policies.
+
+The combiners work on keyed records (``(canonical JSON, record)``
+pairs); :func:`~repro.util.jsonutil.union_records` and
+:func:`~repro.util.jsonutil.merge_records` over plain dicts are the
+reference they must agree with.
+"""
 
 import pytest
 
@@ -19,6 +25,12 @@ from repro.citation.policy import (
     focused_policy,
 )
 from repro.errors import PolicyError
+from repro.util.jsonutil import (
+    canonical_json,
+    keyed,
+    merge_records,
+    union_records,
+)
 
 FV1 = {"ID": "11", "Name": "Calcitonin", "Committee": ["Hay", "Poyner"]}
 FV2 = {"ID": "11", "Name": "Calcitonin",
@@ -26,17 +38,35 @@ FV2 = {"ID": "11", "Name": "Calcitonin",
        "Contributors": ["Brown", "Smith"]}
 
 
+def k(*records):
+    """Keyed copies of plain records."""
+    return [keyed(record) for record in records]
+
+
+def plain(items):
+    """Strip the keys, checking each still matches its record."""
+    for key, record in items:
+        assert key == canonical_json(record)
+    return [record for __, record in items]
+
+
 class TestDotInterpretations:
     def test_dot_union_keeps_records_apart(self):
         # Example 3.5, first interpretation of ·
-        assert dot_union([FV1, FV2]) == [FV1, FV2]
+        assert plain(dot_union(k(FV1, FV2))) == [FV1, FV2]
 
     def test_dot_union_dedupes(self):
-        assert dot_union([FV1, FV1]) == [FV1]
+        assert plain(dot_union(k(FV1, FV1))) == [FV1]
+
+    def test_dot_union_dedupes_equal_content_of_distinct_objects(self):
+        # Content equality, as union_records: field order is irrelevant.
+        reordered = dict(reversed(list(FV1.items())))
+        assert plain(dot_union(k(FV1, reordered))) == [FV1]
+        assert union_records([FV1, reordered]) == [FV1]
 
     def test_dot_merge_factors_common_fields(self):
         # Example 3.5, second interpretation of ·
-        merged = dot_merge([FV1, FV2])
+        merged = plain(dot_merge(k(FV1, FV2)))
         assert merged == [{
             "ID": "11",
             "Name": "Calcitonin",
@@ -44,6 +74,10 @@ class TestDotInterpretations:
             "Text": "The calcitonin peptide family",
             "Contributors": ["Brown", "Smith"],
         }]
+        assert merged == [merge_records([FV1, FV2])]
+
+    def test_dot_merge_single_record_is_itself(self):
+        assert plain(dot_merge(k(FV1))) == [merge_records([FV1])]
 
     def test_dot_merge_empty(self):
         assert dot_merge([]) == []
@@ -51,7 +85,13 @@ class TestDotInterpretations:
 
 class TestPlusInterpretations:
     def test_plus_union(self):
-        assert plus_union([[FV1], [FV2]]) == [FV1, FV2]
+        assert plain(plus_union([k(FV1), k(FV2)])) == [FV1, FV2]
+
+    def test_plus_union_matches_union_records(self):
+        alternatives = [k(FV1, FV2), k(FV2), k(FV1)]
+        assert plain(plus_union(alternatives)) == union_records(
+            [FV1, FV2, FV2, FV1]
+        )
 
     def test_plus_merge_reproduces_paper_example(self):
         # {ID, Name, Committee:[Hay,Poyner]} +R
@@ -60,7 +100,7 @@ class TestPlusInterpretations:
                 "Committee": ["Hay", "Poyner"]}
         right = {"ID": "11", "Committee": ["Brown"],
                  "Contributors": ["Smith"]}
-        merged = plus_merge([[left], [right]])
+        merged = plain(plus_merge([k(left), k(right)]))
         assert merged == [{
             "ID": "11",
             "Name": "Calcitonin",
@@ -68,25 +108,30 @@ class TestPlusInterpretations:
             "Contributors": ["Smith"],
         }]
 
+    def test_plus_merge_empty(self):
+        assert plus_merge([[], []]) == []
+
     def test_agg_aliases(self):
-        assert agg_union([[FV1]]) == [FV1]
-        assert agg_merge([[FV1], [FV2]]) == plus_merge([[FV1], [FV2]])
+        assert plain(agg_union([k(FV1)])) == [FV1]
+        assert plain(agg_merge([k(FV1), k(FV2)])) == plain(
+            plus_merge([k(FV1), k(FV2)])
+        )
 
 
 class TestNeutral:
     def test_neutral_prepended(self):
-        neutral = [{"Owner": "Tony Harmar"}]
-        assert with_neutral([FV1], neutral) == [{"Owner": "Tony Harmar"},
-                                                FV1]
+        neutral = k({"Owner": "Tony Harmar"})
+        assert plain(with_neutral(k(FV1), neutral)) == [
+            {"Owner": "Tony Harmar"}, FV1,
+        ]
 
     def test_neutral_with_empty_body(self):
         # Def 3.4: the neutral element appears even for empty outputs.
-        neutral = [{"Owner": "Tony Harmar"}]
+        neutral = k({"Owner": "Tony Harmar"})
         assert with_neutral([], neutral) == neutral
 
     def test_neutral_deduped(self):
-        neutral = [FV1]
-        assert with_neutral([FV1], neutral) == [FV1]
+        assert plain(with_neutral(k(FV1), k(FV1))) == [FV1]
 
 
 class TestPolicyValidation:

@@ -197,6 +197,16 @@ class TestEngineAPI:
         after = engine.cite('Q(N) :- Family(F, N, Ty), Ty = "vgic"')
         assert len(after.tuples) == 2
 
+    def test_mutation_reaches_warm_engine_without_refresh(self, registry):
+        from repro.gtopdb.sample import paper_database
+        db = paper_database()
+        engine = CitationEngine(db, registry)
+        before = engine.cite('Q(N) :- Family(F, N, Ty), Ty = "vgic"')
+        assert len(before.tuples) == 1
+        db.insert("Family", "21", "NewFam", "vgic")
+        after = engine.cite('Q(N) :- Family(F, N, Ty), Ty = "vgic"')
+        assert len(after.tuples) == 2
+
     def test_result_repr(self, focused_engine):
         result = focused_engine.cite(EX22_QUERY)
         assert "tuples" in repr(result)
@@ -204,3 +214,89 @@ class TestEngineAPI:
     def test_citation_payload_shape(self, focused_engine):
         payload = focused_engine.cite(EX22_QUERY).citation()
         assert set(payload) == {"query", "policy", "database", "citations"}
+
+
+def _signature(result):
+    """Everything a citation carries, for warm-vs-fresh comparison."""
+    return (
+        [(tc.output, [repr(p) for p in tc.per_rewriting],
+          repr(tc.polynomial), tc.records)
+         for tc in result.tuples.values()],
+        repr(result.aggregate_polynomial),
+        result.records,
+    )
+
+
+class TestWarmEqualsFresh:
+    """After a mutation, a warm engine cites exactly what a fresh one
+    does: its materialized views and rendered records are keyed on the
+    database's stats_version, so no caller has to invalidate them."""
+
+    QUERY = 'Q(N, P) :- Family(F, N, Ty), FC(F, P), Ty = "gpcr"'
+
+    def test_insert_rerenders_cached_records(self, registry):
+        from repro.gtopdb.sample import paper_database
+        db = paper_database()
+        engine = CitationEngine(db, registry, policy=comprehensive_policy())
+        engine.cite(self.QUERY)
+        db.insert("FC", "11", "p3")
+        warm = engine.cite(self.QUERY)
+        fresh = CitationEngine(
+            db, registry, policy=comprehensive_policy()
+        ).cite(self.QUERY)
+        assert _signature(warm) == _signature(fresh)
+        committees = [record["Committee"] for record in warm.records
+                      if record.get("ID") == "11"]
+        assert committees == [["Brown", "Hay", "Poyner"]]
+
+    def test_delete_and_batch_and_union(self, registry):
+        from repro.gtopdb.sample import paper_database
+        db = paper_database()
+        union = ('Q(N) :- Family(F, N, Ty), Ty = "gpcr"; '
+                 "Q(N) :- Family(F, N, Ty), FamilyIntro(F, Tx)")
+        engine = CitationEngine(db, registry, policy=comprehensive_policy())
+        engine.cite_batch([self.QUERY, EX22_QUERY])
+        engine.cite_union(union)
+        assert db.delete("FC", "11", "p1")
+        db.insert("Family", "21", "NewFam", "gpcr")
+        fresh = CitationEngine(db, registry, policy=comprehensive_policy())
+        warm_batch = engine.cite_batch([self.QUERY, EX22_QUERY])
+        fresh_batch = fresh.cite_batch([self.QUERY, EX22_QUERY])
+        assert [_signature(r) for r in warm_batch] == [
+            _signature(r) for r in fresh_batch
+        ]
+        assert _signature(engine.cite_union(union)) == _signature(
+            fresh.cite_union(union)
+        )
+
+
+class TestRecordDedup:
+    def test_equal_records_of_distinct_tokens_collapse(self, db):
+        """Union combiners dedupe on record content, not on the token:
+        two views with the same citation function render one record."""
+        from repro.util.jsonutil import union_records
+        from repro.views.citation_view import CitationView
+        from repro.views.registry import ViewRegistry
+
+        citation_query = ("lambda F. CV1(F, N, Pn) :- Family(F, N, Ty), "
+                          "FC(F, C), Person(C, Pn, A)")
+        registry = ViewRegistry(db.schema, [
+            CitationView.from_strings(
+                view=f"lambda F. {name}(F, N, Ty) :- Family(F, N, Ty)",
+                citation_query=citation_query,
+                labels=["ID", "Name", "Committee"],
+            )
+            for name in ("V1", "V1b")
+        ])
+        engine = CitationEngine(db, registry, policy=comprehensive_policy())
+        result = engine.cite('Q(N) :- Family(F, N, Ty), F = "11"')
+        citation = result.tuples[("Calcitonin",)]
+        cited = {token.view_name
+                 for monomial in citation.polynomial.monomials()
+                 for token in monomial.tokens()
+                 if isinstance(token, ViewCitationToken)}
+        assert cited == {"V1", "V1b"}
+        v1 = engine.cite_view("V1", ("11",))
+        assert citation.records.count(v1) == 1
+        assert citation.records == union_records(citation.records)
+        assert result.records.count(v1) == 1

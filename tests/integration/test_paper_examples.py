@@ -214,8 +214,10 @@ class TestE6_Example35_Interpretations:
         fv1 = registry.get("V1").citation_for(db, ("11",))
         fv2 = registry.get("V2").citation_for(db, ("11",))
         from repro.citation.combiners import dot_merge, dot_union
-        assert dot_union([fv1, fv2]) == [fv1, fv2]
-        merged = dot_merge([fv1, fv2])[0]
+        from repro.util.jsonutil import keyed
+        records = [keyed(fv1), keyed(fv2)]
+        assert [r for __, r in dot_union(records)] == [fv1, fv2]
+        __, merged = dot_merge(records)[0]
         assert merged["Committee"] == ["Hay", "Poyner"]
         assert merged["Contributors"] == ["Brown", "Smith"]
         assert merged["Text"] == "The calcitonin peptide family"
