@@ -664,195 +664,3 @@ def test_e16_ucq_overlap_planned_union_speedup(benchmark, quick):
         f"planned {planned:.6f}s, seed-era {seed:.6f}s, "
         f"speedup {speedup:.2f}x"
     )
-
-
-# ---------------------------------------------------------------------------
-# Parallel batch execution
-# ---------------------------------------------------------------------------
-
-
-def _cite_batch_workload(quick=False):
-    """A batch big enough that shard workers actually engage."""
-    from repro.gtopdb.views import paper_registry
-
-    size = _scaled(600, quick)
-    db = generate_database(families=size, persons=size // 2, seed=29)
-    registry = paper_registry(db.schema)
-    queries = [
-        E8_E9_QUERY,
-        "Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx)",
-    ] * 3
-    return db, registry, queries
-
-
-def test_e16_parallel_cite_batch_never_slower(quick):
-    """Sharded batch citation must not lose to serial.  On GIL
-    interpreters threads cannot multiply throughput, so the claim is
-    that the shard-and-merge driver's overhead is negligible (on
-    free-threaded builds the same knob scales).  Best-of-5 with a 25%
-    noise budget: wall-clock ratios on shared CI runners jitter well
-    beyond the driver's actual overhead, and a flaky assertion here
-    would be worse than a looser bound."""
-    from repro.citation.generator import CitationEngine
-
-    db, registry, queries = _cite_batch_workload(quick)
-
-    def once(parallelism):
-        engine = CitationEngine(db, registry)
-        def run():
-            engine.cite_batch(queries, parallelism=parallelism)
-        return run
-
-    serial = _best_of(once(1), rounds=5)
-    parallel = _best_of(once(4), rounds=5)
-    assert parallel <= serial * 1.25, (
-        f"parallel {parallel:.6f}s vs serial {serial:.6f}s"
-    )
-
-
-def test_e16_parallel_cite_batch_matches_serial(quick):
-    from repro.citation.generator import CitationEngine
-
-    db, registry, queries = _cite_batch_workload(quick)
-    serial = CitationEngine(db, registry).cite_batch(queries[:3])
-    parallel = CitationEngine(db, registry).cite_batch(
-        queries[:3], parallelism=4
-    )
-    for left, right in zip(serial, parallel):
-        assert left.citation() == right.citation()
-
-
-# ---------------------------------------------------------------------------
-# Hash-partitioned storage (sharded shape, projected process payloads)
-# ---------------------------------------------------------------------------
-
-
-#: Shards and process workers for the sharded shape (kept equal so the
-#: projected-vs-world comparison pits identical worker fleets against
-#: each other and measures only what each worker is handed).
-SHARDED_SHARDS = 4
-
-
-def sharded_storage_database(rows: int = 16000,
-                             shards: int = SHARDED_SHARDS) -> Database:
-    """The sharded-storage shape: a large base relation under a
-    selective multi-join, plus a fat unreferenced relation.
-
-    ``Base`` is large and every row participates in the first-step scan;
-    ``Dim``/``Sel`` carry long tails of *distinct* junk join values so
-    their NDV tracks their cardinality — a probe into either is
-    estimated at ~1 row, which makes scanning ``Base`` first the
-    provably cheapest order — while only the hot sliver survives both
-    joins.  ``Junk`` is never referenced by the query: whole-database
-    pickling ships it (and every index/statistics structure) to all
-    workers anyway, the plan-driven projection ships neither.
-    """
-    schema = Schema([
-        RelationSchema("Base", ["a", "b", "k"]),
-        RelationSchema("Dim", ["b", "c"]),
-        RelationSchema("Sel", ["c", "t"]),
-        RelationSchema("Junk", ["x", "y", "z"]),
-    ])
-    db = Database(schema, shards=shards)
-    hot = max(1, rows // 200)
-    spread = max(hot * 10, rows // 20)
-    tail = rows + rows // 4
-    db.insert_batch({
-        "Base": [(i, i % spread, i * 7) for i in range(rows)],
-        "Dim": [(b, b) for b in range(hot)]
-        + [(10 * spread + j, 10 * spread + j) for j in range(tail)],
-        "Sel": [(c, c + 1) for c in range(hot)]
-        + [(20 * spread + j, j) for j in range(tail)],
-        "Junk": [(i, i * 3, f"junk-{i}") for i in range(rows * 2)],
-    })
-    return db
-
-
-SHARDED_QUERY = "Q(A, T) :- Base(A, B, K), Dim(B, C), Sel(C, T)"
-
-
-def test_e16_sharded_shape_scans_the_base_relation_first():
-    """The plan shape behind the fan-out: the first step is a full scan
-    of the large sharded Base relation, which is exactly what
-    shard-parallel seeding accelerates."""
-    from repro.cq.parallel import _storage_seed_step
-
-    db = sharded_storage_database(rows=2000)
-    plan = QueryPlanner(db).plan(parse_query(SHARDED_QUERY))
-    step = plan.steps[0]
-    assert step.atom.relation == "Base"
-    assert not step.lookup_positions and step.range_position is None
-    assert _storage_seed_step(plan, db, 1) is not None
-
-
-def test_e16_sharded_projected_shipping_10x_fewer_bytes(benchmark, quick):
-    """The shipping claim: process workers handed only their shard's
-    slice of only the plan-referenced relations receive ≥10× fewer
-    pickled bytes than whole-database pickling (in practice ~20× on
-    this shape), with identical output."""
-    from repro.cq.executor import execute_plan
-    from repro.cq.parallel import SHIPPING, execute_plan_parallel
-    from repro.cq.plan import plan_query
-
-    db = sharded_storage_database(_scaled(16000, quick, floor=4000))
-    plan = plan_query(parse_query(SHARDED_QUERY), db)
-    serial = list(execute_plan(plan, db))
-
-    def projected():
-        return list(execute_plan_parallel(
-            plan, db, parallelism=SHARDED_SHARDS, use_processes=True,
-            min_partition=1,
-        ))
-
-    assert benchmark(projected) == serial
-    # benchmark() re-runs the callable, so measure one clean run.
-    SHIPPING.reset()
-    projected()
-    projected_bytes = SHIPPING.shipped_bytes
-
-    SHIPPING.reset()
-    world = list(execute_plan_parallel(
-        plan, db, parallelism=SHARDED_SHARDS, use_processes=True,
-        min_partition=1, shipping="world",
-    ))
-    world_bytes = SHIPPING.shipped_bytes
-    SHIPPING.reset()
-    assert world == serial
-
-    benchmark.extra_info["shards"] = db.shards
-    benchmark.extra_info["shipped_bytes"] = projected_bytes
-    benchmark.extra_info["world_bytes"] = world_bytes
-    assert projected_bytes * 10 <= world_bytes, (
-        f"projected {projected_bytes:,}B vs world {world_bytes:,}B"
-    )
-
-
-def test_e16_sharded_projected_shipping_speedup(quick):
-    """The latency claim: projected shard payloads beat whole-database
-    pickling ≥1.5× end to end on the same worker fleet (in practice
-    ~3×: the world mode serializes the full database once per worker
-    before any of them can start)."""
-    from repro.cq.executor import execute_plan
-    from repro.cq.parallel import execute_plan_parallel
-    from repro.cq.plan import plan_query
-
-    db = sharded_storage_database(_scaled(16000, quick, floor=4000))
-    plan = plan_query(parse_query(SHARDED_QUERY), db)
-    serial = list(execute_plan(plan, db))
-
-    def once(shipping):
-        def run():
-            result = list(execute_plan_parallel(
-                plan, db, parallelism=SHARDED_SHARDS, use_processes=True,
-                min_partition=1, shipping=shipping,
-            ))
-            assert result == serial
-        return run
-
-    projected = _best_of(once("plan"))
-    world = _best_of(once("world"))
-    speedup = world / projected
-    assert speedup >= 1.5, (
-        f"projected {projected:.6f}s, world {world:.6f}s, "
-        f"speedup {speedup:.2f}x"
-    )

@@ -3,9 +3,9 @@
 Registers the ``--quick`` flag used by the benchmark suite (it must be
 defined in a conftest that pytest loads at startup, which for runs from
 the repository root is this one): benchmarks keep every shape assertion
-— pushdown plan shapes, ≥1.5× speedup claims, parallel-never-slower —
-but run on reduced instance sizes, so CI can gate on them without paying
-full benchmark time.
+— pushdown plan shapes, ≥1.5× speedup claims — but run on reduced
+instance sizes, so CI can gate on them without paying full benchmark
+time.
 """
 
 
@@ -32,8 +32,8 @@ def pytest_addoption(parser):
         help=(
             "sanitizer mode: enable the runtime concurrency sanitizer "
             "(repro.analysis.sanitizer) — ownership/affinity checks, "
-            "cache-serve re-validation, ordinal-merge monotonicity, "
-            "event-loop blocking detection — for the whole run"
+            "cache-serve re-validation, event-loop blocking detection "
+            "— for the whole run"
         ),
     )
 

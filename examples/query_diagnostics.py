@@ -108,7 +108,7 @@ def main() -> None:
 
     # The plan verifier: sound plans pass untouched...
     plan = plan_query(healthy, db)
-    verify_plan(plan, db)
+    verify_plan(plan)
     print("=== plan verifier ===")
     print("sound plan: verified clean")
 
@@ -119,7 +119,7 @@ def main() -> None:
         plan, steps=(plan.steps[1], plan.steps[0])
     )
     try:
-        verify_plan(corrupted, db)
+        verify_plan(corrupted)
     except PlanVerificationError as error:
         print("corrupted plan rejected:")
         for violation in error.violations[:3]:

@@ -19,8 +19,8 @@ computes):
 - :mod:`repro.analysis.sanitizer` — the runtime concurrency sanitizer
   (``REPRO_SANITIZE=always`` / ``pytest --sanitize``): lane-ownership
   and thread-affinity checks on database mutations, independent
-  re-validation of version-keyed cache serves, shard ordinal-merge
-  monotonicity, and event-loop blocking detection, raising
+  re-validation of version-keyed cache serves, and event-loop
+  blocking detection, raising
   :class:`~repro.analysis.sanitizer.ConcurrencySanitizerError` with
   both sides' stacks.  :mod:`repro.analysis.lint` is its static
   counterpart: AST rules with stable ``RL1xx`` codes enforcing the

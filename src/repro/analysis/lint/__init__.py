@@ -1,7 +1,7 @@
 """Repo-invariant lint: AST rules for the conventions ruff can't see.
 
 The concurrency sanitizer (:mod:`repro.analysis.sanitizer`) proves the
-lane/shard/cache discipline at runtime; this package enforces the same
+lane/cache discipline at runtime; this package enforces the same
 conventions *statically*, with stable ``RL1xx`` codes, so violations
 fail CI before they ever run:
 
@@ -12,8 +12,6 @@ RL102     cache-named dict attribute constructed without a bound
           (no ``*max*`` sibling attribute in the class)
 RL103     lane submission / async engine call whose result is
           discarded (missing ``await`` — the job outcome is lost)
-RL104     shard-internal attribute (``_rows``, ``_shards``, index
-          structures…) accessed outside the ``relational/`` layer
 RL105     bare ``except:``, or a broad ``except`` that only ``pass``es
           (silently swallowing engine failures)
 ========  ==========================================================

@@ -1,16 +1,14 @@
-"""Runtime concurrency sanitizer: prove the lane/shard/cache
-discipline instead of assuming it.
+"""Runtime concurrency sanitizer: prove the lane/cache discipline
+instead of assuming it.
 
 The engine's concurrency correctness rests on conventions no type
 checker sees: *all* engine access is serialized through the service's
-engine lane; a database is never mutated while a shard fan-out has
-worker threads reading it; version-keyed caches re-validate
-``stats_version`` and content fingerprints before serving; shard merges
-release bindings in strictly increasing insertion-ordinal order; and
-nothing blocks the service event loop.  This module checks those
-conventions at runtime — the same opt-in sanitizer posture as the plan
-verifier (:mod:`repro.analysis.verifier`), extended from plans to
-threads, shards and caches.
+engine lane; version-keyed caches re-validate ``stats_version`` and
+content fingerprints before serving; and nothing blocks the service
+event loop.  This module checks those conventions at runtime — the
+same opt-in sanitizer posture as the plan verifier
+(:mod:`repro.analysis.verifier`), extended from plans to threads and
+caches.
 
 Enable it with any of:
 
@@ -21,7 +19,7 @@ Enable it with any of:
   test runs, mirroring ``--verify-plans``).
 
 The switch is process-wide, like plan verification: ownership and
-fan-out state are global properties of the process, not of one engine.
+region state are global properties of the process, not of one engine.
 Disabled (the default), every instrumentation hook is a single module
 attribute check — the hot paths pay one branch.
 
@@ -32,18 +30,11 @@ ownership
     :func:`bind_owner` tags a database with its owning context (the
     engine lane binds at start).  Mutations of an owned database are
     only legal under :func:`owner_context` — the thread-local grant the
-    lane holds while running a job.  Shards
-    (:class:`~repro.relational.database.RelationShard`) are owned
-    transitively through their instance's database: every shard
-    mutation funnels through the instance mutators this module hooks.
-experimental thread affinity
+    lane holds while running a job.
+execution thread affinity
     While a citation pipeline is evaluating
     (:func:`execution_region`), mutations from *other* threads raise —
     the in-flight execution would observe a torn snapshot.
-shard fan-out
-    Inside :func:`parallel_region` (worker threads are scanning the
-    database's shards/indexes) **no** thread may mutate it, not even
-    the serial parent.
 version-keyed caches
     :func:`check_cache_serve` re-validates, independently of the
     cache's own check, that a served entry's ``stats_version`` tag and
@@ -52,12 +43,6 @@ version-keyed caches
     effective mutations (:func:`note_effective_mutations`), so a
     mutation path that forgets to bump the version is caught at the
     first stale serve it would have enabled.
-ordinal merges
-    :func:`check_ordinal_run` / :func:`monotonic_stream` assert that
-    merged shard streams are strictly increasing on the global
-    insertion ordinal — the invariant that makes sharded output
-    byte-identical to serial output.  :func:`check_shard_partition`
-    asserts per-shard statistics still merge exactly to the aggregate.
 event-loop blocking
     While active, ``time.sleep`` and blocking ``socket`` operations
     raise when executed on a thread with a *running* asyncio event
@@ -76,7 +61,7 @@ import threading
 import time
 import traceback
 import weakref
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from typing import Any
 
@@ -93,8 +78,7 @@ class ConcurrencySanitizerError(ReproError):
     ----------
     check:
         Short name of the violated check (``lane-ownership``,
-        ``shard-fan-out``, ``stale-cache``, ``version-integrity``,
-        ``ordinal-merge``, ``shard-partition``, ``execution-affinity``,
+        ``stale-cache``, ``version-integrity``, ``execution-affinity``,
         ``event-loop-blocking``).
     context_stack:
         The captured stack of where the violated context was
@@ -148,20 +132,11 @@ class _Region:
         self.stack = stack
 
 
-class _Span:
-    __slots__ = ("depth", "stack")
-
-    def __init__(self, stack: list[str]) -> None:
-        self.depth = 1
-        self.stack = stack
-
-
 #: id(db) -> (weakref, payload).  Keyed by id with the weakref kept for
 #: liveness validation (a recycled id must never inherit a dead
 #: database's state) and for removal on collection.
 _owners: dict[int, tuple[Any, _Owner]] = {}
 _regions: dict[int, tuple[Any, _Region]] = {}
-_parallel: dict[int, tuple[Any, _Span]] = {}
 #: id(db) -> (weakref, expected stats_version): the shadow count of
 #: effective mutations, advanced by :func:`note_effective_mutations`.
 _shadow: dict[int, tuple[Any, int]] = {}
@@ -204,7 +179,6 @@ def _register(
 def _reset_state() -> None:
     _owners.clear()
     _regions.clear()
-    _parallel.clear()
     _shadow.clear()
 
 
@@ -335,54 +309,19 @@ def execution_region(obj: Any) -> Iterator[None]:
                     _regions.pop(id(obj), None)
 
 
-@contextmanager
-def parallel_region(obj: Any) -> Iterator[None]:
-    """Mark a shard fan-out over ``obj``: worker threads are reading
-    its shards and indexes, so **no** thread may mutate it — not even
-    the serial parent — until the last worker joins."""
-    if not _active:
-        yield
-        return
-    with _state_lock:
-        span = _entry(_parallel, obj)
-        if span is not None:
-            span.depth += 1
-        else:
-            _register(_parallel, obj, _Span(_capture()))
-    try:
-        yield
-    finally:
-        with _state_lock:
-            span = _entry(_parallel, obj)
-            if span is not None:
-                span.depth -= 1
-                if not span.depth:
-                    _parallel.pop(id(obj), None)
-
-
 def check_mutation(obj: Any) -> None:
     """Validate that mutating ``obj`` is legal right now.
 
     Called from the heads of the database mutators (insert, bulk
-    insert, delete).  Ordered most-severe first: a mutation during a
-    shard fan-out corrupts concurrent readers outright; one bypassing
+    insert, delete).  Ordered most-severe first: a mutation bypassing
     an owning lane breaks write serialization; one from a non-executing
     thread mid-evaluation tears the snapshot.
     """
     if not _active:
         return
     with _state_lock:
-        span = _entry(_parallel, obj)
         owner = _entry(_owners, obj)
         region = _entry(_regions, obj)
-    if span is not None:
-        raise ConcurrencySanitizerError(
-            "shard-fan-out",
-            f"{_describe(obj)} mutated while a parallel shard fan-out "
-            "is reading its shards and indexes; mutations must wait "
-            "for the fan-out to join",
-            span.stack,
-        )
     if owner is not None:
         grants = getattr(_local, "grants", None)
         if not grants or id(obj) not in grants:
@@ -473,90 +412,6 @@ def check_cache_serve(
             f"{current_token!r}",
         )
     _check_shadow(label, obj, live)
-
-
-# ---------------------------------------------------------------------------
-# shard merges
-# ---------------------------------------------------------------------------
-
-
-def _ordinal_violation(
-    label: str, position: int, ordinal: int, previous: int
-) -> ConcurrencySanitizerError:
-    return ConcurrencySanitizerError(
-        "ordinal-merge",
-        f"{label}: merge position {position} yielded ordinal "
-        f"{ordinal} after {previous}; the shard merge is out of "
-        "order, so sharded output no longer equals serial output",
-    )
-
-
-def check_ordinal_run(
-    label: str,
-    pairs: Iterable[tuple[int, Any]],
-    strict: bool = True,
-) -> None:
-    """Assert ``(ordinal, ...)`` pairs are monotone on the ordinal.
-
-    Applied to materialized shard merges.  Seed merges carry one pair
-    per row, and row ordinals are globally unique, so they must be
-    *strictly* increasing; output merges tag every binding with its
-    seed's ordinal (one seed can derive many bindings), so they are
-    checked non-decreasing (``strict=False``).  Either way, a violation
-    means the sharded stream has diverged from serial order.
-    """
-    if not _active:
-        return
-    previous: int | None = None
-    for position, (ordinal, __) in enumerate(pairs):
-        if previous is not None and (
-            ordinal < previous or (strict and ordinal == previous)
-        ):
-            raise _ordinal_violation(label, position, ordinal, previous)
-        previous = ordinal
-
-
-def monotonic_stream(
-    label: str,
-    stream: Iterable[Any],
-    key: Callable[[Any], int],
-    strict: bool = True,
-) -> Iterator[Any]:
-    """Pass ``stream`` through, asserting ``key`` is monotone
-    (strictly increasing, or non-decreasing with ``strict=False``)."""
-    previous: int | None = None
-    for position, item in enumerate(stream):
-        ordinal = key(item)
-        if previous is not None and (
-            ordinal < previous or (strict and ordinal == previous)
-        ):
-            raise _ordinal_violation(label, position, ordinal, previous)
-        previous = ordinal
-        yield item
-
-
-def check_shard_partition(instance: Any) -> None:
-    """Assert per-shard statistics still merge to the aggregate.
-
-    ``instance`` is a :class:`~repro.relational.database
-    .RelationInstance`; called before a fan-out seeds from its shards,
-    because a lost or duplicated row in a shard means the parallel scan
-    would not reproduce the serial stream.
-    """
-    if not _active:
-        return
-    parts = instance.shard_statistics()
-    if len(parts) <= 1:
-        return
-    if not instance.stats.matches_partition(parts):
-        total = sum(part.cardinality for part in parts)
-        raise ConcurrencySanitizerError(
-            "shard-partition",
-            f"relation {instance.schema.name!r}: per-shard statistics "
-            f"no longer merge to the aggregate (aggregate cardinality "
-            f"{instance.stats.cardinality}, shard sum {total}); shards "
-            "have lost or duplicated rows",
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
+from repro.analysis import sanitizer as _sanitizer
 from repro.analysis.sanitizer import set_sanitize
 from repro.citation.combiners import with_neutral
 from repro.citation.order import absorbing_sum, best_polynomials, normal_form
@@ -147,17 +148,6 @@ class CitationEngine:
         the ``MetaData`` relation when present.
     include_partial / validate / max_rewritings:
         Passed to the :class:`~repro.rewriting.engine.RewritingEngine`.
-    parallelism / use_processes:
-        Worker count (and thread/process choice) for the shard-and-merge
-        executor (:mod:`repro.cq.parallel`) used by every rewriting
-        evaluation; 1 runs serially.  Results are identical at any
-        setting.  :meth:`cite_batch` can override both per batch.
-    shards:
-        When given, repartitions the database's relation storage into
-        that many shards (:meth:`~repro.relational.database.Database
-        .reshard`), enabling shard-parallel first-step scans and probes
-        and shard-sliced process-pool payloads.  Like ``parallelism``,
-        results are identical at any shard count.
     share_subplans:
         When True (the default), :meth:`cite_batch` groups each batch by
         shared plan prefixes and evaluates every shared join prefix
@@ -176,10 +166,9 @@ class CitationEngine:
         Sets the **process-wide** concurrency-sanitizer mode
         (:func:`~repro.analysis.sanitizer.set_sanitize`): ``"always"``
         turns on lane-ownership/affinity checks, independent cache-serve
-        re-validation, ordinal-merge monotonicity checks and event-loop
-        blocking detection for the whole process; ``"off"`` disables
-        them; None (the default) leaves the current mode (seeded from
-        ``REPRO_SANITIZE``) untouched.
+        re-validation and event-loop blocking detection for the whole
+        process; ``"off"`` disables them; None (the default) leaves the
+        current mode (seeded from ``REPRO_SANITIZE``) untouched.
 
     Plans for queries with range comparisons run unchanged through this
     engine: the shared :class:`~repro.cq.plan.QueryPlanner` pushes them
@@ -199,20 +188,15 @@ class CitationEngine:
         validate: bool = True,
         max_rewritings: int | None = None,
         cache_rewritings: bool = False,
-        parallelism: int = 1,
-        use_processes: bool = False,
-        shards: int | None = None,
         share_subplans: bool = True,
         verify_plans: str | None = None,
         sanitize: str | None = None,
     ) -> None:
         if sanitize is not None:
-            # Process-wide, like REPRO_SANITIZE: ownership and fan-out
+            # Process-wide, like REPRO_SANITIZE: ownership and region
             # state are properties of the whole process, not one engine.
             set_sanitize(sanitize)
         self.db = db
-        if shards is not None:
-            db.reshard(shards)
         self.registry = registry
         self.policy = policy or focused_policy(registry)
         engine = RewritingEngine(
@@ -240,8 +224,6 @@ class CitationEngine:
         #: prefix once (:mod:`repro.cq.subplan`).
         self.subplan_memo = SubplanMemo()
         self.share_subplans = share_subplans
-        self.parallelism = parallelism
-        self.use_processes = use_processes
         # Data-derived state, valid for ``db.stats_version ==
         # _data_version`` only: the materialized views and each token's
         # rendered record (with its canonical key).
@@ -258,11 +240,6 @@ class CitationEngine:
         # free.  Reentrant because cite_union batches through the same
         # pipeline internally.
         self._exec_lock = threading.RLock()
-
-    @property
-    def shards(self) -> int:
-        """The database's current storage shard count."""
-        return self.db.shards
 
     # ------------------------------------------------------------------
 
@@ -315,9 +292,6 @@ class CitationEngine:
     async def acite_batch(
         self,
         queries: "Sequence[ConjunctiveQuery | str]",
-        parallelism: int | None = None,
-        use_processes: bool | None = None,
-        shards: int | None = None,
     ) -> list[CitationResult]:
         """Async-safe :meth:`cite_batch`: awaitable from an event loop.
 
@@ -331,8 +305,7 @@ class CitationEngine:
         import asyncio
 
         return await asyncio.to_thread(
-            self.locked_call, self.cite_batch, queries,
-            parallelism, use_processes, shards,
+            self.locked_call, self.cite_batch, queries
         )
 
     async def acite_union(self, union: "UnionQuery | str") -> CitationResult:
@@ -364,6 +337,10 @@ class CitationEngine:
 
     def _materialized(self) -> IndexedVirtualRelations:
         self._check_data_version()
+        if _sanitizer._active:
+            _sanitizer.check_cache_serve(
+                "record cache", self.db, self._data_version
+            )
         if self._virtual is None:
             self._virtual = IndexedVirtualRelations(
                 self.registry.materialize(self.db, planner=self.planner)
@@ -438,8 +415,6 @@ class CitationEngine:
             self.db,
             virtual=self._materialized(),
             planner=self.planner,
-            parallelism=self.parallelism,
-            use_processes=self.use_processes,
             plan=plan,
             memo=self._active_memo(),
         )
@@ -614,6 +589,10 @@ class CitationEngine:
         plans through so nothing is planned (or counted) twice.
         """
         self._check_data_version()
+        if _sanitizer._active:
+            _sanitizer.check_cache_serve(
+                "record cache", self.db, self._data_version
+            )
         interned: dict[CitationMonomial, CitationMonomial] = {}
         per_rewriting = [
             self._rewriting_polynomials(
@@ -644,9 +623,6 @@ class CitationEngine:
     def cite_batch(
         self,
         queries: "Sequence[ConjunctiveQuery | str]",
-        parallelism: int | None = None,
-        use_processes: bool | None = None,
-        shards: int | None = None,
     ) -> list[CitationResult]:
         """Cite a whole workload, sharing work across the queries.
 
@@ -666,34 +642,12 @@ class CitationEngine:
         ----------
         queries:
             The workload, as query objects or Datalog strings.
-        parallelism:
-            When given, sets the engine's shard-and-merge worker count
-            (:mod:`repro.cq.parallel`) for this and later batches; every
-            rewriting evaluation partitions its first join step across
-            that many workers.  Like the rewriting-cache upgrade, the
-            setting persists on the engine.
-        use_processes:
-            When given, switches the workers between threads (False,
-            default) and a process pool (True).
-        shards:
-            When given, repartitions the database's relation storage
-            into that many shards before the batch
-            (:meth:`~repro.relational.database.Database.reshard`); the
-            repartitioning persists on the database like the other
-            knobs persist on the engine.
 
         Returns
         -------
         One :class:`CitationResult` per query, in order.  Results are
-        identical at any parallelism and shard count (bindings merge in
-        serial order), and identical with sub-plan sharing on or off.
+        identical with sub-plan sharing on or off.
         """
-        if parallelism is not None:
-            self.parallelism = parallelism
-        if use_processes is not None:
-            self.use_processes = use_processes
-        if shards is not None:
-            self.db.reshard(shards)
         self.ensure_rewriting_cache()
         self._materialized()
         batch = self._group_batch(queries)

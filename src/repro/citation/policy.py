@@ -23,7 +23,7 @@ Three policies ship with the library:
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.citation.combiners import (
     AGG_INTERPRETATIONS,

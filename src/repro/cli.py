@@ -16,8 +16,7 @@ end to end:
     python -m repro.cli plan gtopdb.json 'Q(N) :- Family(F,N,Ty), F < "F0020"'
     python -m repro.cli analyze gtopdb.json 'Q(N) :- Family(F,N,Ty), Ty = "x", Ty = "y"'
     python -m repro.cli cite-batch gtopdb.json queries.txt --stats
-    python -m repro.cli cite-batch gtopdb.json queries.txt --parallelism 4
-    python -m repro.cli serve --db gtopdb.json --port 8747 --shards 4
+    python -m repro.cli serve --db gtopdb.json --port 8747
     python -m repro.cli replay --url http://127.0.0.1:8747 queries.txt
 
 ``serve`` starts the long-running asyncio citation service
@@ -337,13 +336,9 @@ def cmd_cite_batch(args: argparse.Namespace) -> int:
 
     Blank lines and ``#`` comments are skipped.  Plans, rewritings, and
     materialized-view indexes are shared across the whole batch;
-    --parallelism N evaluates each query's join pipeline on N workers
-    (--processes switches them from threads to a process pool);
-    --shards N partitions relation storage into N shards so first-step
-    scans/probes fan out per shard and process workers receive only
-    their shard's slice; --analyze runs the QA diagnostics over every
-    query and folds per-code counters into the report; --stats prints
-    the cache-effectiveness report afterwards.
+    --analyze runs the QA diagnostics over every query and folds
+    per-code counters into the report; --stats prints the
+    cache-effectiveness report afterwards.
     """
     from repro.workload.runner import run_workload
 
@@ -355,14 +350,7 @@ def cmd_cite_batch(args: argparse.Namespace) -> int:
             for line in handle
             if line.strip() and not line.strip().startswith("#")
         ]
-    report = run_workload(
-        engine,
-        queries,
-        parallelism=args.parallelism,
-        use_processes=args.processes,
-        shards=args.shards,
-        analyze=args.analyze,
-    )
+    report = run_workload(engine, queries, analyze=args.analyze)
     renderer = _FORMATS[args.format]
     for result in report.results:
         print(renderer(result))
@@ -387,10 +375,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     db, registry = _load(args.db)
     engine = _build_engine(db, registry, args.policy)
-    if args.shards is not None:
-        db.reshard(args.shards)
-    if args.parallelism is not None:
-        engine.parallelism = args.parallelism
     config = ServiceConfig(
         host=args.host,
         port=args.port,
@@ -410,7 +394,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         # this line when --port 0 binds an ephemeral one).
         print(
             f"serving {args.db} on http://{config.host}:{service.port} "
-            f"(shards={db.shards}, policy={args.policy})",
+            f"(policy={args.policy})",
             flush=True,
         )
         loop = asyncio.get_running_loop()
@@ -532,18 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
                             choices=sorted(_POLICIES))
     cite_batch.add_argument("--format", default="json",
                             choices=sorted(_FORMATS))
-    cite_batch.add_argument("--parallelism", type=int, default=1,
-                            metavar="N",
-                            help="evaluate each query's join pipeline on "
-                                 "N parallel workers (default 1: serial)")
-    cite_batch.add_argument("--processes", action="store_true",
-                            help="with --parallelism, use a process pool "
-                                 "instead of threads")
-    cite_batch.add_argument("--shards", type=int, default=None,
-                            metavar="N",
-                            help="partition relation storage into N shards "
-                                 "(shard-parallel scans/probes; process "
-                                 "workers receive only their shard's slice)")
     cite_batch.add_argument("--stats", action="store_true",
                             help="print cache-effectiveness statistics")
     cite_batch.add_argument("--analyze", action="store_true",
@@ -561,11 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8747,
                        help="bind port (0 picks an ephemeral port, "
                             "printed on startup)")
-    serve.add_argument("--shards", type=int, default=None, metavar="N",
-                       help="partition relation storage into N shards")
-    serve.add_argument("--parallelism", type=int, default=None,
-                       metavar="N",
-                       help="shard-and-merge worker count per evaluation")
     serve.add_argument("--policy", default="focused",
                        choices=sorted(_POLICIES))
     serve.add_argument("--timeout", type=float, default=30.0,

@@ -35,7 +35,6 @@ from typing import Any
 from repro.analysis import sanitizer as _sanitizer
 from repro.cq.atoms import ComparisonAtom, RelationalAtom
 from repro.cq.executor import Binding, IndexedVirtualRelations, execute_plan
-from repro.cq.parallel import execute_plan_parallel
 from repro.cq.plan import QueryPlan, QueryPlanner, plan_query
 from repro.cq.query import ConjunctiveQuery
 from repro.cq.subplan import SubplanMemo, execute_plan_shared
@@ -53,8 +52,6 @@ def enumerate_bindings(
     db: Database,
     virtual: VirtualRelations | None = None,
     planner: QueryPlanner | None = None,
-    parallelism: int = 1,
-    use_processes: bool = False,
     *,
     plan: QueryPlan | None = None,
     memo: "SubplanMemo | None" = None,
@@ -85,13 +82,6 @@ def enumerate_bindings(
         When given, its plan cache is consulted (and filled); otherwise
         the query is planned from scratch — still cheap, but workloads
         should share a :class:`~repro.cq.plan.QueryPlanner`.
-    parallelism:
-        Number of workers for the shard-and-merge executor
-        (:mod:`repro.cq.parallel`); 1 (the default) runs serially.  The
-        binding sequence is identical either way — same multiset *and*
-        same order (shards are contiguous and merged in shard order).
-    use_processes:
-        With ``parallelism > 1``, use a process pool instead of threads.
     plan:
         A plan already built for exactly this ``query`` / ``virtual``
         pair (the batch layer pre-plans while grouping shared prefixes);
@@ -111,22 +101,7 @@ def enumerate_bindings(
         else:
             plan = plan_query(query, db, indexed)
     if memo is not None:
-        yield from execute_plan_shared(
-            plan,
-            db,
-            indexed,
-            memo,
-            parallelism=parallelism,
-            use_processes=use_processes,
-        )
-    elif parallelism > 1:
-        yield from execute_plan_parallel(
-            plan,
-            db,
-            indexed,
-            parallelism=parallelism,
-            use_processes=use_processes,
-        )
+        yield from execute_plan_shared(plan, db, indexed, memo)
     else:
         yield from execute_plan(plan, db, indexed)
 
@@ -148,8 +123,6 @@ def evaluate_query(
     params: Sequence[Any] | None = None,
     virtual: VirtualRelations | None = None,
     planner: QueryPlanner | None = None,
-    parallelism: int = 1,
-    use_processes: bool = False,
 ) -> list[tuple[Any, ...]]:
     """Evaluate a query under set semantics (the paper's Def 2.1).
 
@@ -172,9 +145,6 @@ def evaluate_query(
         Extra virtual relations visible to the query body.
     planner:
         Optional shared plan cache.
-    parallelism / use_processes:
-        Worker count (and thread/process choice) for the shard-and-merge
-        executor; 1 runs serially.  Results are identical either way.
 
     Returns
     -------
@@ -183,9 +153,7 @@ def evaluate_query(
     if params is not None:
         query = query.instantiate(params)
     results: dict[tuple[Any, ...], None] = {}
-    for binding in enumerate_bindings(
-        query, db, virtual, planner, parallelism, use_processes
-    ):
+    for binding in enumerate_bindings(query, db, virtual, planner):
         results.setdefault(head_tuple(query, binding))
     return list(results)
 
@@ -196,8 +164,6 @@ def evaluate_with_bindings(
     params: Sequence[Any] | None = None,
     virtual: VirtualRelations | None = None,
     planner: QueryPlanner | None = None,
-    parallelism: int = 1,
-    use_processes: bool = False,
     *,
     plan: QueryPlan | None = None,
     memo: SubplanMemo | None = None,
@@ -207,8 +173,7 @@ def evaluate_with_bindings(
     This is the paper's ``β_t`` (Def 3.2): the list of bindings yielding
     each output tuple ``t``, duplicates preserved — the citation engine
     sums one monomial per binding.  Grouping follows the executor's
-    first derivation of each tuple, which is deterministic and identical
-    at any ``parallelism`` (the parallel merge preserves serial order).
+    first derivation of each tuple, which is deterministic.
 
     Parameters are exactly those of :func:`evaluate_query`, plus the
     ``plan``/``memo`` pass-throughs of :func:`enumerate_bindings` (the
@@ -233,8 +198,7 @@ def evaluate_with_bindings(
     # snapshot this grouping is built from.
     with region:
         for binding in enumerate_bindings(
-            query, db, virtual, planner, parallelism, use_processes,
-            plan=plan, memo=memo,
+            query, db, virtual, planner, plan=plan, memo=memo
         ):
             grouped.setdefault(head_tuple(query, binding), []).append(binding)
     return grouped

@@ -133,9 +133,7 @@ class IndexedVirtualRelations(Mapping):
     def ensure_index(self, name: str, positions: tuple[int, ...]) -> None:
         """Build the hash index on ``positions`` of ``name`` now.
 
-        :meth:`lookup` builds indexes lazily; the parallel executor warms
-        them before fanning out so shard workers never race to build the
-        same one.
+        :meth:`lookup` builds indexes lazily.
         """
         key = (name, positions)
         if not positions or key in self._indexes:
@@ -163,8 +161,7 @@ class IndexedVirtualRelations(Mapping):
         """Build (and cache) the sorted index on one column now.
 
         Returns the index, or ``None`` (also cached) when the column
-        mixes incomparable types; like :meth:`ensure_index`, the parallel
-        executor warms these before fanning out.
+        mixes incomparable types.
         """
         key = (name, position)
         if key not in self._sorted:
@@ -190,11 +187,7 @@ class IndexedVirtualRelations(Mapping):
     def ensure_composite_index(
         self, name: str, positions: tuple[int, ...], order_position: int
     ) -> CompositeIndex:
-        """Build (and cache) one composite index now.
-
-        Like :meth:`ensure_index`, the parallel executor warms these
-        before fanning out so shard workers never race to build one.
-        """
+        """Build (and cache) one composite index now."""
         key = (name, positions, order_position)
         index = self._composite.get(key)
         if index is None:
@@ -275,9 +268,8 @@ class SingletonBindingOperator:
 class SequenceSourceOperator:
     """A source replaying a fixed sequence of bindings.
 
-    The parallel executor (:mod:`repro.cq.parallel`) materializes the
-    first step's bindings, partitions them into shards, and runs the
-    remaining steps of each shard over one of these sources.
+    :func:`execute_plan_seeded` runs a plan suffix over one of these,
+    seeded with memoized prefix bindings.
     """
 
     def __init__(self, bindings: Sequence[Binding]) -> None:
@@ -285,58 +277,6 @@ class SequenceSourceOperator:
 
     def __iter__(self) -> Iterator[Binding]:
         return iter(self.bindings)
-
-
-class OrdinalSourceOperator:
-    """A source replaying ``(ordinal, binding)`` pairs, tracking the
-    ordinal of the most recently emitted seed.
-
-    The operator chain is pipelined depth-first: everything an
-    :class:`IndexJoinOperator` stack yields between two pulls from its
-    source derives from the last pulled seed.  The shard-parallel
-    executor therefore reads :attr:`current` after each downstream
-    binding to tag it with its seed's global insertion ordinal, which is
-    what lets per-shard result streams merge back into the exact serial
-    order.
-    """
-
-    def __init__(self, pairs: Sequence[tuple[int, Binding]]) -> None:
-        self.pairs = pairs
-        self.current: int | None = None
-
-    def __iter__(self) -> Iterator[Binding]:
-        for ordinal, binding in self.pairs:
-            self.current = ordinal
-            yield binding
-
-
-def seed_bindings_from_pairs(
-    step: JoinStep,
-    pairs: Sequence[tuple[int, tuple[Any, ...]]],
-    check: Callable[[ComparisonAtom, Binding], bool],
-) -> list[tuple[int, Binding]]:
-    """First-step bindings from ``(ordinal, values)`` rows of the step's
-    relation, keeping each binding's source ordinal.
-
-    Mirrors :class:`IndexJoinOperator` for the plan's first step (whose
-    upstream is the single empty binding): the rows must already match
-    the step's probe — shard scans and shard index probes guarantee that
-    — so only the residual repeated-variable checks and the comparisons
-    scheduled at the step remain.  The NaN-probe guard is the caller's
-    job (a first-step probe is all constants, so it is decided once, not
-    per row).
-    """
-    introduces = step.introduces
-    equal_positions = step.equal_positions
-    comparisons = step.comparisons
-    seeds: list[tuple[int, Binding]] = []
-    for ordinal, values in pairs:
-        if any(values[i] != values[j] for i, j in equal_positions):
-            continue
-        binding = {var: values[position] for var, position in introduces}
-        if all(check(c, binding) for c in comparisons):
-            seeds.append((ordinal, binding))
-    return seeds
 
 
 class IndexJoinOperator:
@@ -474,7 +414,7 @@ def build_operator_chain(
     """Stack one :class:`IndexJoinOperator` per step on top of ``source``.
 
     Shared by :func:`execute_plan` (whole plan over the singleton source)
-    and the parallel executor (plan suffix over one shard's bindings).
+    and :func:`execute_plan_seeded` (plan suffix over memoized seeds).
     """
     operator = source
     for step in steps:

@@ -99,11 +99,7 @@ def plan_verification() -> str:
     return _verify_mode
 
 
-def _maybe_verify(
-    plan: QueryPlan,
-    db: Database | None = None,
-    mode: str | None = None,
-) -> QueryPlan:
+def _maybe_verify(plan: QueryPlan, mode: str | None = None) -> QueryPlan:
     """Run the verifier on ``plan`` when the effective mode says so.
 
     The import is deferred: :mod:`repro.analysis` depends on this
@@ -113,7 +109,7 @@ def _maybe_verify(
     if effective == "always":
         from repro.analysis.verifier import verify_plan
 
-        verify_plan(plan, db)
+        verify_plan(plan)
     return plan
 
 
@@ -1075,8 +1071,7 @@ def plan_query(
             bindings,
             pushed=tuple(closure.pushed),
             pushed_ranges=tuple(intervals.pushed),
-        ),
-        db,
+        )
     )
 
 
@@ -1213,7 +1208,7 @@ class QueryPlanner:
                     )
                 self.hits += 1
                 self._exact.move_to_end(query)
-                return _maybe_verify(plan, self.db, self.verify)
+                return _maybe_verify(plan, self.verify)
         key, renaming = canonical_key_and_renaming(query)
         entry = self._cache.get(key)
         if entry is not None:
@@ -1231,7 +1226,7 @@ class QueryPlanner:
                                       cached_fingerprint)
                 self._exact.move_to_end(query)
                 self._bound(self._exact)
-                return _maybe_verify(rebound, self.db, self.verify)
+                return _maybe_verify(rebound, self.verify)
         self.misses += 1
         plan = plan_query(canonical_query(query, renaming), self.db, virtual)
         self._cache[key] = (plan, version, fingerprint)
@@ -1241,7 +1236,7 @@ class QueryPlanner:
         self._exact[query] = (rebound, version, fingerprint)
         self._exact.move_to_end(query)
         self._bound(self._exact)
-        return _maybe_verify(rebound, self.db, self.verify)
+        return _maybe_verify(rebound, self.verify)
 
     def plan_union(
         self,

@@ -21,7 +21,7 @@ Correctness discipline:
   Key equality guarantees the consumer's prefix performs the identical
   computation, so seeding changes neither the multiset nor the order of
   results — the property suite asserts planned ≡ reference exactly,
-  seeded and unseeded, serial and parallel.
+  seeded and unseeded.
 - Entries are version-aware, invalidated by the same fingerprints the
   plan cache uses: the database's
   :attr:`~repro.relational.database.Database.stats_version` and the
@@ -35,10 +35,7 @@ Sharing is *reserved*, not speculative:
 :meth:`~repro.citation.generator.CitationEngine.cite_batch` groups the
 batch by shared prefix keys and reserves only keys at least two plans
 carry, so single-shot queries never pay materialization for bindings
-nobody else will read.  The parallel executor cooperates: a shared
-prefix is materialized once, serially, and the suffixes are sharded
-(:func:`repro.cq.parallel.execute_seeded_parallel`), preserving the
-serial binding order at any parallelism.
+nobody else will read.
 """
 
 from __future__ import annotations
@@ -56,11 +53,7 @@ from repro.cq.executor import (
     _comparison_checker,
     build_operator_chain,
     execute_plan,
-)
-from repro.cq.parallel import (
-    DEFAULT_MIN_PARTITION,
-    execute_plan_parallel,
-    execute_seeded_parallel,
+    execute_plan_seeded,
 )
 from repro.cq.plan import JoinStep, PrefixKey, QueryPlan, prefix_keys
 from repro.relational.database import Database
@@ -286,9 +279,6 @@ def execute_plan_shared(
     db: Database,
     virtual: VirtualRelations | None = None,
     memo: SubplanMemo | None = None,
-    parallelism: int = 1,
-    use_processes: bool = False,
-    min_partition: int = DEFAULT_MIN_PARTITION,
 ) -> Iterator[Binding]:
     """Stream a plan's bindings, seeding/feeding the sub-plan memo.
 
@@ -301,26 +291,15 @@ def execute_plan_shared(
     2. every longer prefix that is *reserved* is materialized level by
        level on the way (stored for the rest of the batch);
     3. the remaining suffix streams through
-       :func:`~repro.cq.parallel.execute_seeded_parallel`, which shards
-       it when ``parallelism > 1`` and iterates inline otherwise.
+       :func:`~repro.cq.executor.execute_plan_seeded`.
 
     With no memo (or nothing reserved/stored) this is a plain
-    serial/parallel execution with zero overhead beyond the key probe.
+    execution with zero overhead beyond the key probe.
     """
     if plan.empty:
         return
-
-    def plain(relations: IndexedVirtualRelations | None) -> Iterator[Binding]:
-        if parallelism > 1:
-            return execute_plan_parallel(
-                plan, db, relations,
-                parallelism=parallelism, use_processes=use_processes,
-                min_partition=min_partition,
-            )
-        return execute_plan(plan, db, relations)
-
     if memo is None or not plan.steps or not memo.worth_checking:
-        yield from plain(virtual)
+        yield from execute_plan(plan, db, virtual)
         return
 
     indexed = IndexedVirtualRelations.wrap(virtual)
@@ -356,7 +335,7 @@ def execute_plan_shared(
         and fingerprint(length) is not None
     ]
     if not hit_length and not pending:
-        yield from plain(indexed)
+        yield from execute_plan(plan, db, indexed)
         return
 
     if hit_length:
@@ -371,9 +350,8 @@ def execute_plan_shared(
         bindings = [{}]
     level = hit_length
     if pending:
-        # Materialize each reserved level serially (the parallel driver
-        # shards only the remaining suffix, so memoized bindings are in
-        # serial order for every future consumer).
+        # Materialize each reserved level in executor order, so memoized
+        # bindings replay in that order for every future consumer.
         memo.misses += 1
         check = _comparison_checker(plan.query.name, set())
         for length in pending:
@@ -399,16 +377,7 @@ def execute_plan_shared(
                 current,
             )
             level = length
-    yield from execute_seeded_parallel(
-        plan,
-        level,
-        bindings,
-        db,
-        indexed,
-        parallelism=parallelism,
-        use_processes=use_processes,
-        min_partition=min_partition,
-    )
+    yield from execute_plan_seeded(plan, db, indexed, bindings, level)
 
 
 def explain_with_memo(

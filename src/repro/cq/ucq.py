@@ -112,8 +112,6 @@ class UnionQuery:
         db: Database,
         planner: QueryPlanner | None = None,
         memo: SubplanMemo | None = None,
-        parallelism: int = 1,
-        use_processes: bool = False,
         virtual: Any = None,
     ) -> list[tuple[Any, ...]]:
         """Set-semantics union of the disjuncts' results.
@@ -136,10 +134,6 @@ class UnionQuery:
             (:func:`~repro.cq.subplan.reserve_shared_prefixes`); later
             disjuncts — and later evaluations, until data mutations
             invalidate the entries — seed from the stored bindings.
-        parallelism / use_processes:
-            Worker count (and thread/process choice) for the
-            shard-and-merge executor, per disjunct; results are
-            identical at any setting.
         virtual:
             Optional virtual relations visible to the disjunct bodies.
         """
@@ -148,14 +142,7 @@ class UnionQuery:
             reserve_shared_prefixes(plans, memo)
         seen: dict[tuple[Any, ...], None] = {}
         for disjunct, plan in zip(self.disjuncts, plans):
-            for binding in execute_plan_shared(
-                plan,
-                db,
-                virtual,
-                memo,
-                parallelism=parallelism,
-                use_processes=use_processes,
-            ):
+            for binding in execute_plan_shared(plan, db, virtual, memo):
                 seen.setdefault(head_tuple(disjunct, binding))
         return list(seen)
 

@@ -252,8 +252,6 @@ class TemporalCitationEngine:
         self,
         query: ConjunctiveQuery | str,
         tag: str,
-        parallelism: int = 1,
-        use_processes: bool = False,
     ) -> list[tuple[Any, ...]]:
         """Evaluate a base-schema query against one snapshot, planned.
 
@@ -264,8 +262,6 @@ class TemporalCitationEngine:
             self.tagged(query, tag),
             self.db,
             planner=self.planner,
-            parallelism=parallelism,
-            use_processes=use_processes,
         )
 
     def explain(self, query: ConjunctiveQuery | str, tag: str) -> str:

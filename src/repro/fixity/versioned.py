@@ -178,8 +178,6 @@ class VersionedCitationEngine:
         self,
         query: ConjunctiveQuery | str,
         version: Version | str | int | None = None,
-        parallelism: int = 1,
-        use_processes: bool = False,
     ) -> list[tuple[Any, ...]]:
         """Evaluate a query against a committed version, planned.
 
@@ -195,8 +193,6 @@ class VersionedCitationEngine:
             query,
             engine.db,
             planner=engine.planner,
-            parallelism=parallelism,
-            use_processes=use_processes,
         )
 
     def explain(

@@ -251,5 +251,9 @@ class GtoPdbPortal:
         return self.engine.cite(query)
 
     def refresh(self) -> None:
-        """Propagate database updates (drops plans and cached records)."""
+        """Return to a cold start: drop plans, views and cached records.
+
+        Database updates reach portal pages without this — every cache
+        behind them is keyed on the database's ``stats_version``.
+        """
         self.engine.refresh()

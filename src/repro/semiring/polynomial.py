@@ -150,12 +150,20 @@ class ProvenancePolynomial:
         """The terms in canonical order (by monomial ``repr``).
 
         Sorted on first use, like :meth:`ProvenanceMonomial._canonical`.
+        Monomials that print alike (the unit ``1`` and the token ``1``)
+        are ordered by their tokens' ``repr``, never by insertion.
         """
         if not self._sorted:
             if len(self._terms) > 1:
-                self._terms = dict(
-                    sorted(self._terms.items(), key=lambda kv: repr(kv[0]))
+                ordered = sorted(
+                    self._terms.items(), key=lambda kv: repr(kv[0])
                 )
+                if len({repr(m) for m, __ in ordered}) < len(ordered):
+                    ordered.sort(key=lambda kv: (
+                        repr(kv[0]),
+                        [repr(item) for item in kv[0]._canonical().items()],
+                    ))
+                self._terms = dict(ordered)
             self._sorted = True
         return self._terms
 

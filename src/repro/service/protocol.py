@@ -175,7 +175,7 @@ def render_response(
 ) -> bytes:
     """Serialize one response.  ``payload`` is JSON-encoded unless a raw
     ``body`` is given; the default JSON rendering is deterministic
-    (insertion order, compact separators), which the sharded ≡ serial
+    (insertion order, compact separators), which the warm ≡ cold
     byte-identity tests rely on."""
     if body is None:
         body = b"" if payload is None else (

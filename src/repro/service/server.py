@@ -3,7 +3,7 @@
 ``repro serve`` starts a long-running HTTP front end over a single
 shared :class:`~repro.citation.generator.CitationEngine`, so the
 expensive warm state — plan cache, rewriting cache, sub-plan memo,
-secondary/composite indexes, per-shard statistics — amortizes across
+secondary/composite indexes, statistics — amortizes across
 *all* traffic instead of dying with every consumer process.  Endpoints
 (all JSON over HTTP/1.1; see ``docs/service.md`` for schemas):
 
@@ -54,7 +54,6 @@ from repro.service.batcher import (
 from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import (
     HttpRequest,
-    PayloadTooLarge,
     ProtocolError,
     read_request,
     render_response,
@@ -623,8 +622,6 @@ class CitationService:
 
     def stats(self) -> dict[str, Any]:
         """The ``/stats`` payload: service + engine-cache observability."""
-        from repro.cq.parallel import SHIPPING
-
         engine = self.engine
         planner = engine.planner
         memo = engine.subplan_memo
@@ -638,7 +635,6 @@ class CitationService:
             },
             "engine": {
                 "stats_version": engine.db.stats_version,
-                "shards": engine.db.shards,
                 "policy": engine.policy.name,
                 "plan_cache": {
                     "hits": planner.hits,
@@ -658,10 +654,6 @@ class CitationService:
                     "size": memo.size,
                     "reserved": memo.reserved_count,
                 },
-            },
-            "shipping": {
-                "shipped_bytes": SHIPPING.shipped_bytes,
-                "payloads": getattr(SHIPPING, "payloads", 0),
             },
         }
 

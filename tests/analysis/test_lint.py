@@ -40,27 +40,10 @@ class TestRules:
         assert codes(findings) == ["RL103"]
         assert len(findings) == 2  # submit + acite_batch, not the await
 
-    def test_rl104_flags_external_internal_access(self):
-        findings = lint_file(FIXTURES / "rl104_shard_internals.py")
-        assert codes(findings) == ["RL104"]
-        flagged = {f.message.split("`")[1] for f in findings}
-        assert flagged == {"_rows", "_shards"}  # self._rows is fine
-
     def test_rl105_flags_bare_and_swallowing_excepts(self):
         findings = lint_file(FIXTURES / "rl105_bare_except.py")
         assert codes(findings) == ["RL105"]
         assert len(findings) == 2  # bare + pass-only, not the logged one
-
-    def test_rl104_is_scoped_to_non_relational_paths(self, tmp_path):
-        relational = tmp_path / "relational"
-        relational.mkdir()
-        source = "def f(instance):\n    return instance._rows\n"
-        inside = relational / "storage.py"
-        inside.write_text(source)
-        outside = tmp_path / "storage.py"
-        outside.write_text(source)
-        assert lint_file(inside) == []
-        assert codes(lint_file(outside)) == ["RL104"]
 
     def test_rl101_is_scoped_to_service_paths(self, tmp_path):
         source = (
@@ -129,7 +112,7 @@ class TestRunnerTool:
     def test_findings_set_exit_one(self):
         result = self.run_tool("tests/analysis/lint_fixtures")
         assert result.returncode == 1
-        for code in ("RL101", "RL102", "RL103", "RL104", "RL105"):
+        for code in ("RL101", "RL102", "RL103", "RL105"):
             assert code in result.stdout, f"{code} missing from output"
 
     def test_missing_path_is_an_error(self):

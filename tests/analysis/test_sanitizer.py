@@ -14,13 +14,10 @@ from repro.analysis.sanitizer import (
     check_blocking_call,
     check_cache_serve,
     check_mutation,
-    check_ordinal_run,
     execution_region,
     is_active,
-    monotonic_stream,
     note_effective_mutations,
     owner_context,
-    parallel_region,
     release_owner,
     sanitize_mode,
     set_sanitize,
@@ -40,9 +37,9 @@ def active():
         set_sanitize(previous)
 
 
-def make_db(shards=1):
+def make_db():
     schema = Schema([RelationSchema("R", ["a", "b"])])
-    db = Database(schema, shards=shards)
+    db = Database(schema)
     db.insert_all("R", [(i, i % 5) for i in range(20)])
     return db
 
@@ -85,7 +82,6 @@ class TestModeSwitch:
             bind_owner(db, "nobody")  # no-op: never registered
             check_mutation(db)
             check_cache_serve("cache", db, -999)
-            check_ordinal_run("merge", [(3, None), (1, None)])
         finally:
             set_sanitize(previous)
 
@@ -198,14 +194,6 @@ class TestRegions:
             worker.join()
         assert [e.check for e in errors] == ["execution-affinity"]
 
-    def test_parallel_region_blocks_every_thread(self, active):
-        db = make_db()
-        with parallel_region(db):
-            with pytest.raises(ConcurrencySanitizerError) as err:
-                db.insert("R", 300, 0)
-        assert err.value.check == "shard-fan-out"
-        db.insert("R", 300, 0)  # legal again after the fan-out joins
-
 
 class TestCacheServe:
     def test_matching_serve_passes(self, active):
@@ -237,29 +225,6 @@ class TestCacheServe:
         with pytest.raises(ConcurrencySanitizerError) as err:
             check_cache_serve("cache", db, db.stats_version)
         assert err.value.check == "version-integrity"
-
-
-class TestOrdinalChecks:
-    def test_increasing_run_passes(self, active):
-        check_ordinal_run("merge", [(1, "a"), (2, "b"), (5, "c")])
-
-    def test_disorder_raises(self, active):
-        with pytest.raises(ConcurrencySanitizerError) as err:
-            check_ordinal_run("merge", [(1, "a"), (3, "b"), (2, "c")])
-        assert err.value.check == "ordinal-merge"
-
-    def test_duplicate_raises_when_strict(self, active):
-        with pytest.raises(ConcurrencySanitizerError):
-            check_ordinal_run("merge", [(1, "a"), (1, "b")])
-        check_ordinal_run("merge", [(1, "a"), (1, "b")], strict=False)
-
-    def test_monotonic_stream_is_lazy(self, active):
-        stream = monotonic_stream(
-            "merge", [(2, "a"), (1, "b")], key=lambda p: p[0]
-        )
-        assert next(stream) == (2, "a")
-        with pytest.raises(ConcurrencySanitizerError):
-            next(stream)
 
 
 class TestBlockingDetection:

@@ -18,14 +18,11 @@ from repro.analysis.sanitizer import (
 )
 from repro.citation.generator import CitationEngine
 from repro.cq import evaluation
-from repro.cq.parallel import execute_plan_parallel
 from repro.cq.parser import parse_query
-from repro.cq.plan import plan_query
 from repro.cq.subplan import SubplanMemo
 from repro.gtopdb.sample import paper_database
 from repro.gtopdb.views import paper_views
-from repro.relational.database import Database, RelationInstance
-from repro.relational.schema import RelationSchema, Schema
+from repro.relational.database import Database
 from repro.service.batcher import EngineLane
 from repro.views.registry import ViewRegistry
 
@@ -168,6 +165,41 @@ class TestStaleCacheServe:
         )
 
 
+class TestStaleRecordCache:
+    """Kill: rendered records and materialized views outlive a write."""
+
+    CITED = 'Q(N, P) :- Family(F, N, Ty), FC(F, P), Ty = "gpcr"'
+
+    def cite_across_insert(self, engine, monkeypatch):
+        # BUG: the engine no longer drops its data-derived state when
+        # the database version moves.
+        monkeypatch.setattr(
+            CitationEngine, "_check_data_version", lambda self: None
+        )
+        engine.cite(self.CITED)
+        engine.db.insert("FC", "11", "p3")
+        return engine.cite(self.CITED)
+
+    def test_stale_record_cache_is_caught(
+        self, active, engine, monkeypatch
+    ):
+        with pytest.raises(ConcurrencySanitizerError) as err:
+            self.cite_across_insert(engine, monkeypatch)
+        assert err.value.check == "stale-cache", (
+            "the sanitizer FAILED to catch a record cache serving "
+            "records rendered before a write"
+        )
+
+    def test_same_bug_serves_stale_records_without_sanitizer(
+        self, inactive, engine, monkeypatch
+    ):
+        # Control: with the sanitizer off the stale committee comes
+        # back silently (a fresh engine renders Brown, Hay, Poyner).
+        result = self.cite_across_insert(engine, monkeypatch)
+        family = [r for r in result.records if r.get("ID") == "11"]
+        assert [r["Committee"] for r in family] == [["Hay", "Poyner"]]
+
+
 class TestEventLoopBlocking:
     """Kill: blocking calls executed on the service event loop."""
 
@@ -195,65 +227,6 @@ class TestEventLoopBlocking:
         assert err.value.check == "event-loop-blocking", (
             "the sanitizer FAILED to catch blocking socket I/O on the "
             "event loop"
-        )
-
-
-class TestOrdinalMergeDisorder:
-    """Kill: a shard merge that breaks insertion-ordinal order."""
-
-    @pytest.fixture
-    def sharded_db(self):
-        schema = Schema([
-            RelationSchema("Big", ["a", "b"]),
-            RelationSchema("Small", ["b", "c"]),
-        ])
-        db = Database(schema, shards=3)
-        db.insert_batch({
-            "Big": [(i, i % 10) for i in range(120)],
-            "Small": [(b, b * 2) for b in range(10)],
-        })
-        return db
-
-    def test_disordered_shard_pairs_are_caught(
-        self, active, sharded_db, monkeypatch
-    ):
-        real = RelationInstance.shard_lookup_pairs
-
-        def disordered(self, shard, positions, values):
-            return list(reversed(real(self, shard, positions, values)))
-
-        monkeypatch.setattr(
-            RelationInstance, "shard_lookup_pairs", disordered
-        )
-        plan = plan_query(
-            parse_query("Q(A, C) :- Big(A, B), Small(B, C)"), sharded_db
-        )
-        with pytest.raises(ConcurrencySanitizerError) as err:
-            list(execute_plan_parallel(
-                plan, sharded_db, parallelism=2, min_partition=1
-            ))
-        assert err.value.check == "ordinal-merge", (
-            "the sanitizer FAILED to catch an out-of-order shard merge"
-        )
-
-    def test_corrupted_shard_partition_is_caught(
-        self, active, sharded_db
-    ):
-        plan = plan_query(
-            parse_query("Q(A, C) :- Big(A, B), Small(B, C)"), sharded_db
-        )
-        # Corrupt one shard of the relation the plan seeds from: the
-        # per-shard counts no longer merge to the aggregate (a
-        # lost/duplicated row).
-        instance = sharded_db.relation(plan.steps[0].atom.relation)
-        instance._shards[0].stats.cardinality += 1
-        with pytest.raises(ConcurrencySanitizerError) as err:
-            list(execute_plan_parallel(
-                plan, sharded_db, parallelism=2, min_partition=1
-            ))
-        assert err.value.check == "shard-partition", (
-            "the sanitizer FAILED to catch shard statistics that no "
-            "longer partition the aggregate"
         )
 
 

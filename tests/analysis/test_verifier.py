@@ -47,7 +47,7 @@ def replace_step(plan, index, **changes):
 
 def assert_killed(plan, db, *needles):
     with pytest.raises(PlanVerificationError) as excinfo:
-        verify_plan(plan, db)
+        verify_plan(plan)
     rendered = str(excinfo.value)
     assert "step" in rendered
     for needle in needles:
@@ -58,7 +58,7 @@ def assert_killed(plan, db, *needles):
 class TestSoundPlansPass:
     def test_join_plan(self, db):
         q = parse_query("Q(A, C) :- Big(A, B), Small(B, C)")
-        assert check_plan(plan_query(q, db), db) == []
+        assert check_plan(plan_query(q, db)) == []
 
     def test_pushdown_plans(self, db):
         for text in [
@@ -70,7 +70,7 @@ class TestSoundPlansPass:
             "Q(A, C) :- Big(A, B), Small(B, C), B >= 1, C = 100",
         ]:
             plan = plan_query(parse_query(text), db)
-            assert check_plan(plan, db) == [], text
+            assert check_plan(plan) == [], text
 
     def test_empty_plans(self, db):
         for text in [
@@ -80,7 +80,7 @@ class TestSoundPlansPass:
         ]:
             plan = plan_query(parse_query(text), db)
             assert plan.empty
-            assert check_plan(plan, db) == [], text
+            assert check_plan(plan) == [], text
 
     def test_rebound_plans(self, db):
         planner = QueryPlanner(db, verify="always")
@@ -88,18 +88,18 @@ class TestSoundPlansPass:
         second = planner.plan(parse_query("Q(A) :- Big(A, B), B = 1"))
         assert planner.hits >= 1  # the second went through rebinding
         for plan in (first, second):
-            assert check_plan(plan, db) == []
+            assert check_plan(plan) == []
 
     def test_union_plans(self, db):
         union = parse_union_query(
             "Q(A) :- Big(A, B), B = 1\nQ(A) :- Small(A, C)"
         )
         plans = union.plan(db)
-        assert verify_plans(plans, db) is plans
+        assert verify_plans(plans) is plans
 
     def test_verify_plan_returns_the_plan(self, db):
         plan = plan_query(parse_query("Q(A) :- Big(A, B)"), db)
-        assert verify_plan(plan, db) is plan
+        assert verify_plan(plan) is plan
 
 
 class TestMutationKill:
@@ -208,7 +208,7 @@ class TestMutationKill:
         plan = plan_query(q, db)
         bad = dataclasses.replace(plan, steps=plan.steps[:1])
         with pytest.raises(PlanVerificationError) as excinfo:
-            verify_plan(bad, db)
+            verify_plan(bad)
         assert "not evaluated by any step" in str(excinfo.value)
 
     def test_duplicated_step(self, db):
@@ -218,7 +218,7 @@ class TestMutationKill:
             plan, steps=plan.steps + (plan.steps[1],)
         )
         with pytest.raises(PlanVerificationError) as excinfo:
-            verify_plan(bad, db)
+            verify_plan(bad)
         assert "evaluated by 2 steps" in str(excinfo.value)
 
     def test_wrong_atom_index(self, db):
@@ -239,7 +239,7 @@ class TestMutationKill:
         plan = plan_query(q, db)
         bad = dataclasses.replace(plan, pushed=())
         with pytest.raises(PlanVerificationError) as excinfo:
-            verify_plan(bad, db)
+            verify_plan(bad)
         assert "pushed equalities" in str(excinfo.value)
 
     def test_dropped_pushed_range(self, db):
@@ -247,7 +247,7 @@ class TestMutationKill:
         plan = plan_query(q, db)
         bad = dataclasses.replace(plan, pushed_ranges=())
         with pytest.raises(PlanVerificationError) as excinfo:
-            verify_plan(bad, db)
+            verify_plan(bad)
         assert "pushed ranges" in str(excinfo.value)
 
     def test_bogus_step_pushed_attribution(self, db):
@@ -265,7 +265,7 @@ class TestMutationKill:
         plan = plan_query(q, db)
         bad = dataclasses.replace(plan, empty=True,
                                   empty_reason="false ground comparison")
-        violations = check_plan(bad, db)
+        violations = check_plan(bad)
         assert any("carries join steps" in v for v in violations)
         assert any("every ground comparison" in v for v in violations)
 
@@ -273,7 +273,7 @@ class TestMutationKill:
         q = parse_query("Q(A) :- Big(A, B), B = 1, B = 2")
         plan = plan_query(q, db)
         bad = dataclasses.replace(plan, empty_reason="cosmic rays")
-        violations = check_plan(bad, db)
+        violations = check_plan(bad)
         assert any("unknown empty reason" in v for v in violations)
 
     def test_first_step_variable_probe(self, db):
@@ -308,7 +308,7 @@ class TestMutationKill:
             )),),
         )
         with pytest.raises(PlanVerificationError):
-            verify_plans(plans, db)
+            verify_plans(plans)
 
 
 class TestVerifierModes:
@@ -349,7 +349,7 @@ class TestVerifierModes:
         plan = plan_query(q, db)
         bad = dataclasses.replace(plan, steps=(plan.steps[1], plan.steps[0]))
         with pytest.raises(PlanVerificationError) as excinfo:
-            verify_plan(bad, db)
+            verify_plan(bad)
         assert excinfo.value.plan is bad
         assert len(excinfo.value.violations) >= 1
         assert "violation(s)" in str(excinfo.value)

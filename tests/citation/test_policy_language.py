@@ -4,7 +4,6 @@ import pytest
 
 from repro.citation.order import LexicographicOrder, ViewInclusionOrder
 from repro.citation.policy_language import (
-    PolicyAnalysis,
     analyze_policy,
     parse_policy,
 )

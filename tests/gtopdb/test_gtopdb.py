@@ -195,6 +195,9 @@ class TestPortal:
         before = portal.page_valuations("V1")
         db.insert("Family", "88", "Fresh", "gpcr")
         try:
+            # Version-keyed caches: the new page shows up without a
+            # refresh, and a refresh (cold start) keeps it.
+            assert len(portal.page_valuations("V1")) == len(before) + 1
             portal.refresh()
             assert len(portal.page_valuations("V1")) == len(before) + 1
         finally:
@@ -207,4 +210,4 @@ class TestPortal:
 
         engine = CitationEngine(db, paper_registry())
         with pytest.raises(TypeError):
-            GtoPdbPortal(db, engine=engine, parallelism=2)
+            GtoPdbPortal(db, engine=engine, cache_rewritings=True)

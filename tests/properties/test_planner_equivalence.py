@@ -22,8 +22,6 @@ from repro.cq.evaluation import (
     evaluate_query,
     reference_bindings,
 )
-from repro.cq.executor import execute_plan
-from repro.cq.parallel import execute_plan_parallel
 from repro.cq.plan import QueryPlanner, plan_query
 from repro.cq.query import ConjunctiveQuery
 from repro.cq.terms import Constant, Variable
@@ -191,48 +189,6 @@ def test_pushdown_equality_chains_preserve_multiset(db, query, data):
         binding_key(b) for b in reference_bindings(chained, db)
     )
     assert planned == reference
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    db=databases(),
-    virtual=virtual_relations(),
-    query=queries(),
-    parallelism=st.integers(2, 4),
-)
-def test_parallel_executor_equals_reference_multiset(
-    db, virtual, query, parallelism
-):
-    """The shard-and-merge executor produces the reference evaluator's
-    binding multiset at any worker count (Def 3.2 counts bindings, so
-    the multiset — not just the set — must survive sharding)."""
-    plan = plan_query(query, db, virtual)
-    parallel = Counter(
-        binding_key(b)
-        for b in execute_plan_parallel(
-            plan, db, virtual, parallelism=parallelism, min_partition=1
-        )
-    )
-    reference = Counter(
-        binding_key(b) for b in reference_bindings(query, db, virtual)
-    )
-    assert parallel == reference
-
-
-@settings(max_examples=40, deadline=None)
-@given(db=databases(), virtual=virtual_relations(), query=queries())
-def test_parallel_executor_preserves_serial_order(db, virtual, query):
-    """Contiguous shards merged in shard order reproduce the serial
-    binding sequence exactly, not just its multiset."""
-    plan = plan_query(query, db, virtual)
-    parallel = [
-        binding_key(b)
-        for b in execute_plan_parallel(
-            plan, db, virtual, parallelism=3, min_partition=1
-        )
-    ]
-    serial = [binding_key(b) for b in execute_plan(plan, db, virtual)]
-    assert parallel == serial
 
 
 # ---------------------------------------------------------------------------
@@ -406,34 +362,6 @@ def test_composite_pushdown_on_nan_and_mixed_type_data(db, query, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    db=databases(),
-    query=queries(relations=tuple(sorted(BASE_ARITIES))),
-    parallelism=st.integers(2, 4),
-    data=st.data(),
-)
-def test_parallel_equals_serial_order_for_composite_pushed_queries(
-    db, query, parallelism, data
-):
-    """Composite-pushed plans shard and merge like any other: the
-    parallel binding sequence equals the serial one exactly, and matches
-    the reference multiset."""
-    chained = _with_equality_and_range_chain(query, data)
-    plan = plan_query(chained, db)
-    parallel = [
-        binding_key(b)
-        for b in execute_plan_parallel(
-            plan, db, parallelism=parallelism, min_partition=1
-        )
-    ]
-    serial = [binding_key(b) for b in execute_plan(plan, db)]
-    assert parallel == serial
-    assert Counter(parallel) == Counter(
-        binding_key(b) for b in reference_bindings(chained, db)
-    )
-
-
-@settings(max_examples=60, deadline=None)
 @given(db=databases(), query=queries(relations=tuple(sorted(BASE_ARITIES))),
        data=st.data())
 def test_empty_interval_short_circuit_matches_reference(db, query, data):
@@ -455,52 +383,6 @@ def test_empty_interval_short_circuit_matches_reference(db, query, data):
     assert plan.empty
     assert list(enumerate_bindings(contradictory, db)) == []
     assert list(reference_bindings(contradictory, db)) == []
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    db=databases(),
-    query=queries(relations=tuple(sorted(BASE_ARITIES))),
-    parallelism=st.integers(2, 4),
-    data=st.data(),
-)
-def test_parallel_equals_serial_order_for_range_pushed_queries(
-    db, query, parallelism, data
-):
-    """Range-pushed plans shard and merge like any other: the parallel
-    binding sequence equals the serial one exactly (same order, not just
-    multiset), and matches the reference multiset."""
-    chained = _with_range_chain(query, data)
-    plan = plan_query(chained, db)
-    parallel = [
-        binding_key(b)
-        for b in execute_plan_parallel(
-            plan, db, parallelism=parallelism, min_partition=1
-        )
-    ]
-    serial = [binding_key(b) for b in execute_plan(plan, db)]
-    assert parallel == serial
-    assert Counter(parallel) == Counter(
-        binding_key(b) for b in reference_bindings(chained, db)
-    )
-
-
-@settings(max_examples=40, deadline=None)
-@given(db=mixed_databases(), query=queries(relations=tuple(sorted(BASE_ARITIES))),
-       data=st.data())
-def test_parallel_order_survives_mixed_type_fallback(db, query, data):
-    chained = _with_range_chain(query, data)
-    plan = plan_query(chained, db)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        parallel = [
-            binding_key(b)
-            for b in execute_plan_parallel(
-                plan, db, parallelism=3, min_partition=1
-            )
-        ]
-        serial = [binding_key(b) for b in execute_plan(plan, db)]
-    assert parallel == serial
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,10 +3,9 @@
 The differential harness for the union query class: evaluating a
 :class:`~repro.cq.ucq.UnionQuery` through the cost-based pipeline — a
 shared :class:`~repro.cq.plan.QueryPlanner`, cross-disjunct prefix
-reservation in the :class:`~repro.cq.subplan.SubplanMemo`, thread or
-process pools, sharded storage — must reproduce the seed-era
-per-disjunct evaluation *exactly*: same rows, same multiset, same
-first-derivation order.  The greedy reference evaluator
+reservation in the :class:`~repro.cq.subplan.SubplanMemo` — must
+reproduce the seed-era per-disjunct evaluation *exactly*: same rows,
+same multiset, same first-derivation order.  The greedy reference evaluator
 (:func:`~repro.cq.evaluation.reference_bindings`) pins the set
 semantics independently of any planner choice, and mutation sequences
 between runs exercise the ``stats_version`` invalidation path.
@@ -37,7 +36,6 @@ from repro.relational.tuples import Row
 ARITIES = {"R": 2, "S": 2, "T": 3}
 VALUES = st.integers(min_value=0, max_value=4)
 VARIABLES = [Variable(f"X{i}") for i in range(6)]
-SHARD_COUNTS = [1, 2, 7]
 
 
 def make_schema() -> Schema:
@@ -48,8 +46,8 @@ def make_schema() -> Schema:
 
 
 @st.composite
-def databases(draw, shards: int = 1):
-    db = Database(make_schema(), shards=shards)
+def databases(draw):
+    db = Database(make_schema())
     for name, arity in ARITIES.items():
         rows = draw(
             st.lists(st.tuples(*[VALUES] * arity), min_size=0, max_size=8)
@@ -179,37 +177,6 @@ class TestPlannedEqualsReference:
         assert Counter(cold) == Counter(reference)
         assert set(cold) == greedy
 
-    @given(db=databases(), union=unions(),
-           parallelism=st.sampled_from([2, 3]))
-    @settings(max_examples=40, deadline=None)
-    def test_thread_parallel_planned(self, db, union, parallelism):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            reference = seed_reference(union, db)
-            planner = QueryPlanner(db)
-            memo = SubplanMemo()
-            result = union.evaluate(
-                db, planner, memo, parallelism=parallelism
-            )
-        assert result == reference
-
-    @given(ops=mutation_sequences(), shards=st.sampled_from(SHARD_COUNTS),
-           union=unions())
-    @settings(max_examples=40, deadline=None)
-    def test_sharded_planned(self, ops, shards, union):
-        """Sharded storage is invisible to planned union evaluation."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            unsharded = Database(make_schema())
-            apply_mutations(unsharded, ops)
-            sharded = Database(make_schema(), shards=shards)
-            apply_mutations(sharded, ops)
-            reference = seed_reference(union, unsharded)
-            result = union.evaluate(
-                sharded, QueryPlanner(sharded), SubplanMemo()
-            )
-        assert result == reference
-
     @given(db=databases(), union=unions(), ops=mutation_sequences())
     @settings(max_examples=40, deadline=None)
     def test_mutations_between_runs(self, db, union, ops):
@@ -229,35 +196,3 @@ class TestPlannedEqualsReference:
         assert after == reference
         assert again == reference
         assert set(after) == greedy_reference(union, db)
-
-
-class TestProcessExecution:
-    """One deterministic process-pool case (spawn cost bounds how many
-    examples are affordable; thread/serial properties above cover the
-    merge logic exhaustively)."""
-
-    def test_process_parallel_planned_equals_reference(self):
-        db = Database(make_schema(), shards=3)
-        db.insert_all("R", [(i % 5, (i + 1) % 5) for i in range(60)])
-        db.insert_all("S", [(i % 5, (i + 2) % 5) for i in range(40)])
-        db.insert_all("T", [(i % 5, i % 3, i % 4) for i in range(30)])
-        a, b, c = Variable("A"), Variable("B"), Variable("C")
-        union = UnionQuery([
-            ConjunctiveQuery("Q", [a, c], [
-                RelationalAtom("R", [a, b]),
-                RelationalAtom("S", [b, c]),
-            ]),
-            ConjunctiveQuery("Q", [a, b], [
-                RelationalAtom("R", [a, b]),
-                RelationalAtom("T", [b, a, c]),
-            ]),
-            ConjunctiveQuery("Q", [a, b], [
-                RelationalAtom("R", [a, b]),
-            ], [ComparisonAtom(a, ComparisonOp.LT, Constant(2))]),
-        ])
-        reference = seed_reference(union, db)
-        result = union.evaluate(
-            db, QueryPlanner(db), SubplanMemo(),
-            parallelism=3, use_processes=True,
-        )
-        assert result == reference

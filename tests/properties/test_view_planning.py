@@ -5,8 +5,8 @@ The differential harness for the remaining paper query classes:
 - **Views** — :meth:`CitationView.instance` / ``citation_rows`` /
   ``citation_for`` and :meth:`ViewRegistry.materialize` with a shared
   :class:`~repro.cq.plan.QueryPlanner` must equal the seed-era direct
-  ``evaluate_query`` path exactly (multiset and order), on sharded
-  storage too, and across mutations that invalidate cached plans.
+  ``evaluate_query`` path exactly (multiset and order), and across
+  mutations that invalidate cached plans.
 - **Fixity** — :class:`~repro.fixity.temporal.TemporalCitationEngine`
   snapshot-pinned evaluation must equal evaluating the tagged query
   against the temporal database without any planner, and (as sets)
@@ -36,7 +36,6 @@ from repro.views.registry import ViewRegistry
 
 ARITIES = {"R": 2, "S": 2, "T": 3}
 VALUES = st.integers(min_value=0, max_value=4)
-SHARD_COUNTS = [1, 2, 7]
 
 QUERIES = [
     "Q(A, C) :- R(A, B), S(B, C)",
@@ -67,8 +66,8 @@ def make_views() -> list[CitationView]:
 
 
 @st.composite
-def databases(draw, shards: int = 1):
-    db = Database(make_schema(), shards=shards)
+def databases(draw):
+    db = Database(make_schema())
     for name, arity in ARITIES.items():
         rows = draw(
             st.lists(st.tuples(*[VALUES] * arity), min_size=0, max_size=8)
@@ -112,14 +111,13 @@ class TestViewPlanning:
                             db, tuple(params), planner=planner
                         ) == view.citation_for(db, tuple(params))
 
-    @given(db=databases(), shards=st.sampled_from(SHARD_COUNTS))
+    @given(db=databases())
     @settings(max_examples=30, deadline=None)
-    def test_materialize_planned_equals_reference_sharded(self, db, shards):
+    def test_materialize_planned_equals_reference(self, db):
         """Registry materialization through a shared planner equals the
-        unplanned path at any shard count, repeatedly (warm cache)."""
+        unplanned path, repeatedly (warm cache)."""
         registry = ViewRegistry(make_schema(), make_views())
         reference = registry.materialize(db)
-        db.reshard(shards)
         planner = QueryPlanner(db)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -195,27 +193,6 @@ class TestTemporalPlanning:
             assert set(engine.evaluate(query, "t2")) == set(
                 evaluate_query(query, second)
             )
-
-    def test_thread_and_process_parallel_equal_serial(self):
-        """Parallel snapshot-pinned evaluation preserves the serial
-        stream (one deterministic case; spawn cost bounds examples)."""
-        snapshot = Database(make_schema())
-        snapshot.insert_all("R", [(i % 5, (i + 1) % 5) for i in range(80)])
-        snapshot.insert_all("S", [(i % 5, (i + 2) % 5) for i in range(50)])
-        snapshot.insert_all(
-            "T", [(i % 5, i % 3, i % 4) for i in range(30)]
-        )
-        engine = TemporalCitationEngine(
-            make_schema(), snapshots=[("t1", snapshot)]
-        )
-        for text in QUERIES:
-            serial = engine.evaluate(text, "t1")
-            threads = engine.evaluate(text, "t1", parallelism=3)
-            processes = engine.evaluate(
-                text, "t1", parallelism=3, use_processes=True
-            )
-            assert threads == serial, text
-            assert processes == serial, text
 
 
 class TestVersionedPlanning:

@@ -408,3 +408,100 @@ class TestRow:
         row = Row("R", (1, 2, 3))
         assert list(row) == [1, 2, 3]
         assert len(row) == 3
+
+
+@pytest.fixture
+def storage_schema():
+    return Schema([
+        RelationSchema("Keyed", ["k", "v"], key=["k"]),
+        RelationSchema("Plain", ["a", "b"]),
+    ])
+
+
+class TestInsertionOrder:
+    def test_reinsert_after_delete_moves_row_to_end(self, storage_schema):
+        db = Database(storage_schema)
+        db.insert_all("Plain", [(i, 0) for i in range(30)])
+        db.relation("Plain").delete(Row("Plain", (7, 0)))
+        db.insert("Plain", 7, 0)
+        values = [row.values for row in db.relation("Plain")]
+        assert values == [(i, 0) for i in range(30) if i != 7] + [(7, 0)]
+        assert db.relation("Plain").lookup((1,), (0,))[-1].values == (7, 0)
+
+
+class TestBulkInsertMany:
+    def test_bulk_path_equals_per_row_semantics(self, storage_schema):
+        bulk = Database(storage_schema)
+        slow = Database(storage_schema)
+        rows = [(i, i % 4) for i in range(200)] + [(0, 0)]  # duplicate
+        returned = bulk.relation("Plain").insert_many(rows)
+        for values in rows:
+            slow.relation("Plain").insert(values)
+        assert len(returned) == len(rows)
+        assert bulk.relation("Plain").rows() == slow.relation("Plain").rows()
+        assert (
+            bulk.relation("Plain").stats._column_counts
+            == slow.relation("Plain").stats._column_counts
+        )
+        assert bulk.stats_version == slow.stats_version
+
+    def test_bulk_key_violation_keeps_prior_rows(self, storage_schema):
+        db = Database(storage_schema)
+        rows = [(str(i), i) for i in range(100)] + [("5", 999)]
+        with pytest.raises(KeyViolationError):
+            db.relation("Keyed").insert_many(rows)
+        # Everything before the offending row stayed applied, exactly
+        # like the per-row loop, and its statistics landed.
+        assert len(db.relation("Keyed")) == 100
+        assert db.relation("Keyed").stats.cardinality == 100
+        assert db.stats_version == 100
+
+
+class TestStatsVersion:
+    def test_counter_tracks_effective_mutations(self, storage_schema):
+        db = Database(storage_schema)
+        assert db.stats_version == 0
+        db.insert("Plain", 1, 2)
+        db.insert("Plain", 1, 2)  # set-semantics no-op
+        assert db.stats_version == 1
+        db.insert_all("Plain", [(i, 0) for i in range(100)])
+        assert db.stats_version == 101
+        db.relation("Plain").delete(Row("Plain", (1, 2)))
+        db.relation("Plain").delete(Row("Plain", (1, 2)))  # absent no-op
+        assert db.stats_version == 102
+
+    def test_counter_matches_summed_instance_versions(self, storage_schema):
+        db = Database(storage_schema)
+        db.insert_all("Plain", [(i, 0) for i in range(80)])
+        db.insert("Keyed", "x", 1)
+        db.relation("Plain").delete(Row("Plain", (3, 0)))
+        assert db.stats_version == sum(
+            inst.stats.version for inst in db.relations()
+        )
+
+    def test_direct_instance_mutations_are_counted(self, storage_schema):
+        db = Database(storage_schema)
+        db.relation("Plain").insert((1, 1))
+        assert db.stats_version == 1
+
+
+class TestCopyBulk:
+    def test_copy_preserves_rows_and_order(self, storage_schema):
+        db = Database(storage_schema)
+        db.insert_all("Plain", [(i, i % 4) for i in range(120)])
+        db.insert_all("Keyed", [(str(i), i) for i in range(90)])
+        clone = db.copy()
+        for name in ("Plain", "Keyed"):
+            assert clone.relation(name).rows() == db.relation(name).rows()
+            assert (
+                clone.relation(name).stats._column_counts
+                == db.relation(name).stats._column_counts
+            )
+        clone.insert("Plain", 999, 0)
+        assert len(db.relation("Plain")) == 120
+
+    def test_copy_tolerates_keyless_duplicate_free_load(self, storage_schema):
+        db = Database(storage_schema)
+        db.insert_all("Keyed", [(str(i), i) for i in range(70)])
+        clone = db.copy()
+        assert clone.relation("Keyed").lookup_key(("5",)) is not None

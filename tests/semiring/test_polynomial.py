@@ -83,6 +83,14 @@ class TestPolynomial:
         p = ProvenancePolynomial({ProvenanceMonomial(["x"]): 0})
         assert p.is_zero
 
+    def test_order_ignores_insertion_when_monomials_print_alike(self):
+        # The unit monomial and the token 1 both print as "1".
+        unit, one = ProvenanceMonomial(), ProvenanceMonomial([1])
+        forward = ProvenancePolynomial({unit: 1, one: 2})
+        backward = ProvenancePolynomial({one: 2, unit: 1})
+        assert repr(forward) == repr(backward)
+        assert list(forward.terms) == list(backward.terms)
+
 
 class TestSpecialization:
     """Universality of N[X]: evaluation commutes with specialization."""

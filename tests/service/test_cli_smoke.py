@@ -10,7 +10,6 @@ import re
 import signal
 import subprocess
 import sys
-import time
 
 import pytest
 
@@ -70,22 +69,6 @@ class TestServeSmoke:
             code = process.wait(timeout=15)
         assert code == 0  # graceful drain, clean exit
 
-    def test_serve_with_shards(self, project):
-        process, url = start_server(project, "--shards", "3")
-        try:
-            client = ServiceClient(url)
-            try:
-                client.wait_ready()
-                stats = client.stats()
-                assert stats["engine"]["shards"] == 3
-                reply = client.cite(QUERIES[0])
-                assert reply.status == 200
-            finally:
-                client.close()
-        finally:
-            process.send_signal(signal.SIGTERM)
-            assert process.wait(timeout=15) == 0
-
 
 class TestReplayCLIErrors:
     def test_replay_unreachable_server(self, tmp_path, capsys):
@@ -105,10 +88,9 @@ def test_serve_registered_in_parser():
 
     parser = build_parser()
     namespace = parser.parse_args([
-        "serve", "--db", "x.json", "--shards", "4",
+        "serve", "--db", "x.json",
         "--max-pending", "8", "--max-batch", "4",
     ])
-    assert namespace.shards == 4
     assert namespace.max_pending == 8
     namespace = parser.parse_args([
         "replay", "q.txt", "--url", "http://h:1",

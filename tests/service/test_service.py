@@ -181,9 +181,7 @@ class TestStatsAndHealth:
     def test_stats_shape(self, client):
         client.cite(GPCR)
         stats = client.stats()
-        assert set(stats) == {
-            "service", "admission", "engine", "shipping",
-        }
+        assert set(stats) == {"service", "admission", "engine"}
         engine = stats["engine"]
         for cache in ("plan_cache", "rewriting_cache", "subplan_memo"):
             assert {"hits", "misses", "evictions"} <= set(engine[cache])
@@ -215,36 +213,6 @@ class TestKeepAlive:
             assert stats["service"]["connections_accepted"] == 1
         finally:
             client.close()
-
-
-class TestShardedByteIdentity:
-    def test_sharded_equals_serial_over_http(self):
-        """The acceptance gate: responses are byte-identical whether the
-        engine runs serial or hash-partitioned storage."""
-        registry = paper_registry()
-        serial_db = paper_database()
-        sharded_db = paper_database()
-        sharded_db.reshard(4)
-        bodies = {}
-        for label, db in (("serial", serial_db), ("sharded", sharded_db)):
-            engine = CitationEngine(
-                db, registry, policy=focused_policy(registry)
-            )
-            with ServiceThread(engine) as handle:
-                client = ServiceClient(handle.base_url)
-                try:
-                    replies = [
-                        client.cite(GPCR, include_tuples=True),
-                        client.cite(JOIN),
-                        client.cite(UNION),
-                        client.cite_batch([GPCR, VGIC]),
-                        client.plan(GPCR),
-                    ]
-                    assert all(r.status == 200 for r in replies)
-                    bodies[label] = [r.body for r in replies]
-                finally:
-                    client.close()
-        assert bodies["serial"] == bodies["sharded"]
 
 
 class TestReplay:

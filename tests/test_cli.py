@@ -154,20 +154,6 @@ class TestCiteBatch:
         err = capsys.readouterr().err
         assert "rewriting cache" in err and "plan cache" in err
 
-    def test_parallelism_flag_matches_serial_output(self, project,
-                                                    query_file, capsys):
-        assert main([
-            "cite-batch", str(project), str(query_file),
-        ]) == 0
-        serial = capsys.readouterr().out
-        assert main([
-            "cite-batch", str(project), str(query_file),
-            "--parallelism", "3", "--stats",
-        ]) == 0
-        captured = capsys.readouterr()
-        assert captured.out == serial
-        assert "parallelism=3" in captured.err
-
 
 class TestErrors:
     def test_missing_project_file(self, tmp_path, capsys):
